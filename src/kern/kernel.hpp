@@ -65,8 +65,9 @@ struct ThreadCtx {
   /// erased). Avoids a tree lookup on every hint fault.
   NumabTaskStats* numab_ts = nullptr;
   /// Per-thread software TLB of extent descriptors: lets access() skip the
-  /// PTE walk for extents proven quiet since the process's last mapping
-  /// change (see kern/stlb.hpp). Host-side only; simulated cost-identical.
+  /// PTE walk for chunk-spanning extents proven quiet since the process's
+  /// last mapping change (see kern/stlb.hpp). Host-side only; simulated
+  /// cost-identical.
   SoftTlb stlb;
 };
 
@@ -154,10 +155,11 @@ struct KernelConfig {
   /// numa_balancing.enabled for the proactive paths (direct demotion under
   /// allocation pressure works regardless). See docs/memory-tiers.md.
   TierConfig tiers{};
-  /// Soft-TLB access fast path (kern/stlb.hpp): memoize walk results per
-  /// thread and skip the PTE walk when a cached extent descriptor is still
-  /// valid. Host-side speedup only — `stlb = false` is event-for-event
-  /// identical in simulated cost and output (CI double-runs both).
+  /// Soft-TLB access fast path (kern/stlb.hpp): memoize walk results of
+  /// chunk-spanning extents per thread and skip the PTE walk when a cached
+  /// extent descriptor is still valid. Host-side speedup only — `stlb =
+  /// false` is event-for-event identical in simulated cost and output (CI
+  /// double-runs both).
   bool stlb = true;
 };
 
@@ -214,7 +216,9 @@ struct KernelStats {
   std::uint64_t tier_demote_passes = 0; ///< watermark/direct demotion walks run
   // Soft-TLB access fast path (kern/stlb.hpp). Host-side instrumentation:
   // hit/miss ratios never influence simulated behaviour.
-  std::uint64_t stlb_hits = 0;           ///< accesses served without a PTE walk
+  // Only extents of at least vm::PageTable::kChunkPages pages are looked up,
+  // so shorter accesses count as neither a hit nor a miss.
+  std::uint64_t stlb_hits = 0;           ///< extents served without a PTE walk
   std::uint64_t stlb_misses = 0;         ///< lookups that fell to the slow walk
   std::uint64_t stlb_invalidations = 0;  ///< mapping_gen bumps (all processes)
   /// Async kmigrated batches still in flight when the kernel was destroyed;
@@ -548,6 +552,20 @@ class Kernel {
                     AccessResult& res, CopyBatch* copies);
   bool do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
                        AccessResult& res, CopyBatch* copies);
+
+  /// The per-extent page walk behind access() and access_strided(): the
+  /// soft-TLB check and fill, the fault-retry loop, kDirty/write_gen,
+  /// replica resolution and per-page node resolution for [addr, end). Each
+  /// page's touched bytes go to `on_page(node, bytes)` in address order (a
+  /// soft-TLB hit makes one call for the whole extent); `on_fault()` runs
+  /// before every fault, so a caller charging runs in order flushes first.
+  /// Only extents of at least vm::PageTable::kChunkPages pages are looked up
+  /// or cached (docs/performance.md §6). Defined in kernel_core.cpp, the
+  /// only user; templated so neither caller pays an indirect call per page.
+  template <typename OnPage, typename OnFault>
+  void walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Vaddr end,
+                   vm::Prot want, topo::NodeId core_node, AccessResult& res,
+                   CopyBatch& copies, OnPage&& on_page, OnFault&& on_fault);
 
   /// For a read of a kReplica page: the node whose copy serves `reader`,
   /// creating the reader-local replica (charged) on first use.

@@ -748,59 +748,33 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
   return false;
 }
 
-AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
-                            vm::Prot want, double stream_rate_bytes_per_us) {
-  AccessResult res;
-  if (len == 0) return res;
-  Process& p = proc(t.pid);
+template <typename OnPage, typename OnFault>
+void Kernel::walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Vaddr end,
+                         vm::Prot want, topo::NodeId core_node, AccessResult& res,
+                         CopyBatch& copies, OnPage&& on_page, OnFault&& on_fault) {
   vm::PageTable& pt = p.as.page_table();
-  const topo::NodeId core_node = topo_.node_of_core(t.core);
-  numab_tick(t, p);
-  const sim::Time entry = t.clock;
-  CopyBatch copies;
-
-  const vm::Vaddr end = addr + len;
-  vm::Vpn vpn = vm::vpn_of(addr);
+  const vm::Vpn vpn0 = vm::vpn_of(addr);
   const vm::Vpn vpn_end = vm::vpn_of(end - 1) + 1;
-
-  // Contiguous same-node runs are charged as one stream.
-  const MemDir dir =
-      prot_allows(want, vm::Prot::kWrite) ? MemDir::kWrite : MemDir::kRead;
-  topo::NodeId run_node = topo::kInvalidNode;
-  std::uint64_t run_bytes = 0;
-  auto flush_run = [&] {
-    if (run_bytes == 0 || stream_rate_bytes_per_us <= 0.0) {
-      run_bytes = 0;
-      return;
-    }
-    const sim::Slot s = hw_.stream(t.clock, core_node, run_node, run_bytes,
-                                   stream_rate_bytes_per_us, dir);
-    const sim::Time lat = topo_.access_latency(core_node, run_node);
-    t.stats.add(sim::CostKind::kMemAccess, s.finish + lat - t.clock);
-    t.clock = s.finish + lat;
-    run_bytes = 0;
-  };
-
   const bool writing = prot_allows(want, vm::Prot::kWrite);
 
-  // Soft-TLB fast path: a current-generation descriptor covering the whole
-  // extent proves every page is mapped, same-node, flag-quiet, and (for
-  // writes) already dirty — so the walk below would charge exactly one
-  // stream of `len` bytes from that node and change nothing. Charge that
-  // stream through the identical flush_run arithmetic and return. All other
-  // AccessResult fields stay zero, as the slow path would leave them, and
-  // the tail (copy batch, migration serialization, numab flush) is a no-op
-  // on such an extent by construction.
-  if (cfg_.stlb) {
+  // Soft-TLB admission (kern/stlb.hpp): only extents touching at least one
+  // page-table chunk's worth of pages are looked up, counted or cached.
+  const bool cacheable = cfg_.stlb &&
+                         vpn_end - vpn0 >= vm::PageTable::kChunkPages &&
+                         vpn_end - vpn0 <= std::numeric_limits<std::uint32_t>::max();
+
+  // Fast path: a current-generation descriptor covering the whole extent
+  // proves every page is mapped, same-node, flag-quiet, and (for writes)
+  // already dirty — so the walk below would hand exactly `end - addr` bytes
+  // of one node to on_page and change nothing. No fault, copy or migration
+  // follows, so the callers' tails are no-ops for such an extent.
+  if (cacheable) {
     if (const SoftTlb::Entry* e =
-            t.stlb.lookup(t.pid, p.mapping_gen, vpn, vpn_end, want)) {
+            t.stlb.lookup(t.pid, p.mapping_gen, vpn0, vpn_end, want)) {
       ++kstats_.stlb_hits;
-      run_node = e->node;
-      run_bytes = len;  // per-page (hi - lo) over a contiguous extent sums to len
-      flush_run();
-      res.pages = vpn_end - vpn;
-      if (!p.numab.pending.empty()) numab_flush_promotions(t, p);
-      return res;
+      on_page(e->node, end - addr);
+      res.pages += vpn_end - vpn0;
+      return;
     }
     ++kstats_.stlb_misses;
   }
@@ -808,8 +782,7 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
   // Soft-TLB fill: the walk doubles as the proof. Track whether this extent
   // came out fault-free, single-node, and flag-quiet, and which hardware
   // permissions (plus the dirty bit, for write reuse) held on every page.
-  const vm::Vpn vpn0 = vpn;
-  bool stlb_elig = cfg_.stlb;
+  bool stlb_elig = cacheable;
   bool stlb_read_ok = true;
   bool stlb_write_ok = true;
   topo::NodeId stlb_node = topo::kInvalidNode;
@@ -817,12 +790,13 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
   // PTEs are walked by pointer within each 512-entry chunk (arena-backed,
   // address-stable even when a fault grows the table): one find() per
   // chunk/fault instead of one per page. Fault handling and the per-page
-  // stream accounting happen in exactly the per-page order of old code.
+  // byte accounting happen in exactly the per-page order.
+  vm::Vpn vpn = vpn0;
   while (vpn < vpn_end) {
     vm::Pte* pte = pt.find(vpn);
     unsigned retries = 0;
     while (pte == nullptr || !pte->hw_allows(want)) {
-      flush_run();
+      on_fault();
       stlb_elig = false;  // a faulting extent is not walk-free reusable
       if (++retries > kMaxFaultRetries)
         throw SegfaultError{std::max(addr, vm::addr_of(vpn))};
@@ -854,9 +828,7 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
       } else if (node != stlb_node) {
         stlb_elig = false;  // extent spans nodes: one-stream replay is wrong
       }
-      if (node != run_node) flush_run();
-      run_node = node;
-      run_bytes += hi - lo;
+      on_page(node, hi - lo);
       ++res.pages;
       ++vpn;
       if (vpn == chunk_end) break;
@@ -864,15 +836,55 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
       if (!pte->hw_allows(want)) break;  // back to the fault path
     }
   }
-  flush_run();
-  if (stlb_elig && (stlb_read_ok || stlb_write_ok) &&
-      vpn_end - vpn0 <= std::numeric_limits<std::uint32_t>::max()) {
+  if (stlb_elig && (stlb_read_ok || stlb_write_ok)) {
     std::uint8_t prot = 0;
     if (stlb_read_ok) prot |= SoftTlb::kReadOk;
     if (stlb_write_ok) prot |= SoftTlb::kWriteOk;
     t.stlb.insert({vpn0, static_cast<std::uint32_t>(vpn_end - vpn0), t.pid,
                    p.mapping_gen, stlb_node, prot});
   }
+}
+
+AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
+                            vm::Prot want, double stream_rate_bytes_per_us) {
+  AccessResult res;
+  if (len == 0) return res;
+  Process& p = proc(t.pid);
+  const topo::NodeId core_node = topo_.node_of_core(t.core);
+  numab_tick(t, p);
+  const sim::Time entry = t.clock;
+  CopyBatch copies;
+  const vm::Vaddr end = addr + len;
+
+  // Contiguous same-node runs are charged as one stream, in address order,
+  // and the open run is flushed before every fault so fault costs and
+  // stream costs interleave on the thread clock exactly as they occur.
+  const MemDir dir =
+      prot_allows(want, vm::Prot::kWrite) ? MemDir::kWrite : MemDir::kRead;
+  topo::NodeId run_node = topo::kInvalidNode;
+  std::uint64_t run_bytes = 0;
+  auto flush_run = [&] {
+    if (run_bytes == 0 || stream_rate_bytes_per_us <= 0.0) {
+      run_bytes = 0;
+      return;
+    }
+    const sim::Slot s = hw_.stream(t.clock, core_node, run_node, run_bytes,
+                                   stream_rate_bytes_per_us, dir);
+    const sim::Time lat = topo_.access_latency(core_node, run_node);
+    t.stats.add(sim::CostKind::kMemAccess, s.finish + lat - t.clock);
+    t.clock = s.finish + lat;
+    run_bytes = 0;
+  };
+  walk_extent(
+      t, p, addr, end, want, core_node, res, copies,
+      [&](topo::NodeId node, std::uint64_t bytes) {
+        if (node != run_node) flush_run();
+        run_node = node;
+        run_bytes += bytes;
+      },
+      flush_run);
+  flush_run();
+
   flush_copy_batch(t, copies, sim::CostKind::kNextTouchCopy);
   if (cfg_.lock_model == LockModel::kRange) {
     serialize_migration_ranged(t, p, addr, end, entry, res.nexttouch_migrations,
@@ -903,90 +915,23 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
   AccessResult res;
   if (rows == 0 || row_bytes == 0) return res;
   Process& p = proc(t.pid);
-  vm::PageTable& pt = p.as.page_table();
   const topo::NodeId core_node = topo_.node_of_core(t.core);
   numab_tick(t, p);
   const sim::Time entry = t.clock;
   CopyBatch copies;
 
-  // Per-node byte buckets, charged in bulk at the end.
+  // Each row is one extent walk; its bytes land in per-node buckets that
+  // are charged in bulk at the end, so faults need no flush.
   std::vector<std::uint64_t> bytes_from(topo_.num_nodes(), 0);
-
-  const bool writing = prot_allows(want, vm::Prot::kWrite);
   for (std::uint64_t r = 0; r < rows; ++r) {
     const vm::Vaddr row_start = base + r * stride_bytes;
-    const vm::Vaddr row_end = row_start + row_bytes;
-    const vm::Vpn rv0 = vm::vpn_of(row_start);
-    const vm::Vpn rv_end = vm::vpn_of(row_end - 1) + 1;
-
-    // Each row is one contiguous extent: same soft-TLB contract as access().
-    // A hit fills the same per-node bucket the per-page walk would (the
-    // (hi - lo) shares of one row sum to row_bytes).
-    if (cfg_.stlb) {
-      if (const SoftTlb::Entry* e =
-              t.stlb.lookup(t.pid, p.mapping_gen, rv0, rv_end, want)) {
-        ++kstats_.stlb_hits;
-        bytes_from[e->node] += row_bytes;
-        res.pages += rv_end - rv0;
-        continue;
-      }
-      ++kstats_.stlb_misses;
-    }
-    bool stlb_elig = cfg_.stlb;
-    bool stlb_read_ok = true;
-    bool stlb_write_ok = true;
-    topo::NodeId stlb_node = topo::kInvalidNode;
-
-    for (vm::Vpn vpn = rv0; vpn < rv_end; ++vpn) {
-      const vm::Vaddr page_start = vm::addr_of(vpn);
-      const vm::Vaddr lo = std::max(row_start, page_start);
-      const vm::Vaddr hi = std::min(row_end, page_start + mem::kPageSize);
-
-      vm::Pte* pte = pt.find(vpn);
-      unsigned retries = 0;
-      while (pte == nullptr || !pte->hw_allows(want)) {
-        stlb_elig = false;
-        if (++retries > kMaxFaultRetries) throw SegfaultError{lo};
-        handle_fault(t, p, lo, want, res, &copies);
-        pte = pt.find(vpn);
-      }
-      if (stlb_elig) {
-        const std::uint16_t fl = pte->flags;  // pre-mutation flags
-        if (fl & vm::Pte::kStlbExcluded) stlb_elig = false;
-        stlb_read_ok = stlb_read_ok && (fl & vm::Pte::kHwRead) != 0;
-        stlb_write_ok = stlb_write_ok && (fl & vm::Pte::kHwWrite) != 0 &&
-                        (writing || (fl & vm::Pte::kDirty) != 0);
-      }
-      if (writing) {
-        pte->set(vm::Pte::kDirty);
-        ++pte->write_gen;
-      }
-      topo::NodeId node = phys_.node_of(pte->frame);
-      if ((pte->flags & vm::Pte::kReplica) && !writing)
-        node = resolve_replica(t, p, *pte, vpn, core_node, &copies);
-      if (stlb_node == topo::kInvalidNode) {
-        stlb_node = node;
-      } else if (node != stlb_node) {
-        stlb_elig = false;
-      }
-      bytes_from[node] += hi - lo;
-      ++res.pages;
-    }
-    if (stlb_elig && (stlb_read_ok || stlb_write_ok) &&
-        rv_end - rv0 <= std::numeric_limits<std::uint32_t>::max()) {
-      std::uint8_t prot = 0;
-      if (stlb_read_ok) prot |= SoftTlb::kReadOk;
-      if (stlb_write_ok) prot |= SoftTlb::kWriteOk;
-      t.stlb.insert({rv0, static_cast<std::uint32_t>(rv_end - rv0), t.pid,
-                     p.mapping_gen, stlb_node, prot});
-    }
+    walk_extent(
+        t, p, row_start, row_start + row_bytes, want, core_node, res, copies,
+        [&](topo::NodeId node, std::uint64_t bytes) { bytes_from[node] += bytes; },
+        [] {});
   }
 
-  if (bytes_by_node != nullptr) {
-    bytes_by_node->assign(topo_.num_nodes(), 0);
-    for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n)
-      (*bytes_by_node)[n] = bytes_from[n];
-  }
+  if (bytes_by_node != nullptr) *bytes_by_node = bytes_from;
   if (stream_rate_bytes_per_us > 0.0) {
     for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
       if (bytes_from[n] == 0) continue;

@@ -2,13 +2,20 @@
 // invalidation.
 //
 // Kernel::access() / access_strided() walk every PTE of the touched extent on
-// every call — correct, but at million-page scale the host-side walk dominates
-// even when nothing changed since the last touch (the same observation Mitosis
-// makes about real page walks). The SoftTlb caches the *result* of a walk that
-// found a fully-mapped, same-node, flag-quiet extent as one descriptor; a
-// later access covered by a valid descriptor skips the walk and charges one
-// stream through the identical flush_run arithmetic, so simulated cost and
-// AccessResult are bit-identical to the slow path.
+// every call — correct, but a long extent re-walked unchanged costs host time
+// for nothing (the same observation Mitosis makes about real page walks).
+// The SoftTlb caches the *result* of a walk that found a fully-mapped,
+// same-node, flag-quiet extent as one descriptor; a later access covered by a
+// valid descriptor skips the walk and charges the same bytes to the same
+// node, so simulated cost and AccessResult are bit-identical to the slow path.
+//
+// Caching pays only when the walk is long, so Kernel::walk_extent (the one
+// walker both access paths share) admits an extent — looks it up, counts the
+// hit or miss, and fills on a miss — only when it spans at least one
+// page-table chunk (vm::PageTable::kChunkPages = 512 pages, 2 MiB). Shorter
+// extents always walk and leave kern.stlb.{hits,misses} untouched: on small
+// extents (BLAS tile rows, kv values) a lookup plus a fill costs about as
+// much as the walk, and 64 ways cycle long before an extent repeats.
 //
 // Coherence is generation-based: each Process carries a `mapping_gen` counter
 // bumped (via Kernel::stlb_invalidate) at every site that can narrow what a

@@ -71,9 +71,9 @@ void PhysMem::set_node_capacity(topo::NodeId n, std::uint64_t frames) {
 
 void PhysMem::mark_shadow(FrameId f) {
   assert(is_live(f));
-  if (!frames_[f].shadow) {
-    frames_[f].shadow = true;
-    ++per_node_[frames_[f].node].shadow;
+  if (!(state_[f] & kShadow)) {
+    state_[f] |= kShadow;
+    ++per_node_[node_[f]].shadow;
   }
 }
 

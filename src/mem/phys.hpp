@@ -71,8 +71,7 @@ class PhysMem {
   /// frames already allocated above the new cap stay valid until freed.
   void set_node_capacity(topo::NodeId n, std::uint64_t frames);
 
-  /// Home node of frame `f`. Reads a dense side array rather than striding
-  /// the Frame records — this is the single hottest lookup in the simulator
+  /// Home node of frame `f` — the single hottest lookup in the simulator
   /// (every access/walk resolves frame placement per page).
   topo::NodeId node_of(FrameId f) const { return node_[f]; }
 
@@ -84,7 +83,7 @@ class PhysMem {
   void mark_shadow(FrameId f);
   void clear_shadow(FrameId f);
   bool is_shadow(FrameId f) const {
-    return f < frames_.size() && frames_[f].in_use && frames_[f].shadow;
+    return f < state_.size() && state_[f] == (kInUse | kShadow);
   }
   std::uint64_t shadow_frames(topo::NodeId n) const {
     return per_node_[n].shadow;
@@ -101,8 +100,10 @@ class PhysMem {
   }
 
   /// Host backing of a materialized frame; nullptr for phantom frames.
-  std::byte* data(FrameId f) { return frames_[f].data.get(); }
-  const std::byte* data(FrameId f) const { return frames_[f].data.get(); }
+  std::byte* data(FrameId f) { return data_.empty() ? nullptr : data_[f].get(); }
+  const std::byte* data(FrameId f) const {
+    return data_.empty() ? nullptr : data_[f].get();
+  }
 
   Backing backing() const { return backing_; }
   std::uint64_t capacity_frames(topo::NodeId n) const { return per_node_[n].capacity; }
@@ -127,7 +128,7 @@ class PhysMem {
 
   /// True when `f` is a live allocated frame (consistency checks).
   bool is_live(FrameId f) const {
-    return f < frames_.size() && frames_[f].in_use;
+    return f < state_.size() && (state_[f] & kInUse) != 0;
   }
 
   /// Lifetime counters (diagnostics / tests).
@@ -136,12 +137,11 @@ class PhysMem {
   std::uint64_t fallback_allocs() const { return fallbacks_; }
 
  private:
-  struct Frame {
-    topo::NodeId node = topo::kInvalidNode;
-    bool in_use = false;
-    std::unique_ptr<std::byte[]> data;
-    bool shadow = false;  ///< held by an in-flight transactional migration
-  };
+  // Per-frame state bits (state_). kShadow: held by an in-flight
+  // transactional migration.
+  static constexpr std::uint8_t kInUse = 1u << 0;
+  static constexpr std::uint8_t kShadow = 1u << 1;
+
   struct NodePool {
     std::uint64_t capacity = 0;
     std::uint64_t base_capacity = 0;  // construction-time size (cap ceiling)
@@ -158,8 +158,13 @@ class PhysMem {
 
   const topo::Topology& topo_;
   Backing backing_;
-  std::vector<Frame> frames_;
-  std::vector<topo::NodeId> node_;  // parallel to frames_: home node (fixed)
+  // The frame table, dense and indexed by FrameId: a frame is created on
+  // first allocation and recycled through its node's free list, never
+  // destroyed. Phantom backing keeps 5 bytes per frame; materialized adds
+  // the 4 KiB host buffer, which survives recycling.
+  std::vector<topo::NodeId> node_;                  // home node (fixed)
+  std::vector<std::uint8_t> state_;                 // kInUse | kShadow
+  std::vector<std::unique_ptr<std::byte[]>> data_;  // kMaterialized only
   std::vector<NodePool> per_node_;
   std::vector<topo::MemTier> node_tier_;             // cached node -> tier
   std::array<std::uint64_t, 3> tier_used_{};         // live frames per tier
@@ -173,11 +178,11 @@ class PhysMem {
 // (every fault and migration goes through them); defined inline so callers
 // don't pay an out-of-line call for a handful of counter updates.
 inline void PhysMem::clear_shadow(FrameId f) {
-  assert(f < frames_.size());
-  if (frames_[f].shadow) {
-    frames_[f].shadow = false;
-    assert(per_node_[frames_[f].node].shadow > 0);
-    --per_node_[frames_[f].node].shadow;
+  assert(f < state_.size());
+  if (state_[f] & kShadow) {
+    state_[f] &= static_cast<std::uint8_t>(~kShadow);
+    assert(per_node_[node_[f]].shadow > 0);
+    --per_node_[node_[f]].shadow;
   }
 }
 
@@ -200,28 +205,27 @@ inline FrameId PhysMem::take_frame(topo::NodeId node, bool use_reserve) {
   if (!pool.free_list.empty()) {
     id = pool.free_list.back();
     pool.free_list.pop_back();
-    frames_[id].in_use = true;
+    state_[id] = kInUse;
   } else {
-    id = static_cast<FrameId>(frames_.size());
-    frames_.push_back(Frame{node, true, nullptr});
+    id = static_cast<FrameId>(node_.size());
     node_.push_back(node);
-  }
-  if (backing_ == Backing::kMaterialized && !frames_[id].data) {
-    frames_[id].data = std::make_unique<std::byte[]>(kPageSize);
+    state_.push_back(kInUse);
+    if (backing_ == Backing::kMaterialized)
+      data_.push_back(std::make_unique<std::byte[]>(kPageSize));
   }
   return id;
 }
 
 inline void PhysMem::free(FrameId f) {
-  assert(f < frames_.size() && frames_[f].in_use);
+  assert(is_live(f));
   clear_shadow(f);
-  Frame& frame = frames_[f];
-  frame.in_use = false;
-  NodePool& pool = per_node_[frame.node];
+  state_[f] = 0;
+  const topo::NodeId node = node_[f];
+  NodePool& pool = per_node_[node];
   assert(pool.used > 0);
   --pool.used;
-  assert(tier_used_[static_cast<std::size_t>(node_tier_[frame.node])] > 0);
-  --tier_used_[static_cast<std::size_t>(node_tier_[frame.node])];
+  assert(tier_used_[static_cast<std::size_t>(node_tier_[node])] > 0);
+  --tier_used_[static_cast<std::size_t>(node_tier_[node])];
   ++frees_;
   pool.free_list.push_back(f);
 }

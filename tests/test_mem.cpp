@@ -135,5 +135,57 @@ TEST_F(PhysMemTest, CapacityCapExhaustsAndRestores) {
   EXPECT_NE(pm.alloc_on(2), kInvalidFrame);
 }
 
+TEST_F(PhysMemTest, FreeClearsShadowMark) {
+  PhysMem pm(topo_, Backing::kPhantom, 4);
+  const FrameId f = pm.alloc_on(1);
+  pm.mark_shadow(f);
+  EXPECT_TRUE(pm.is_shadow(f));
+  EXPECT_EQ(pm.shadow_frames(1), 1u);
+  EXPECT_EQ(pm.total_shadow_frames(), 1u);
+  pm.free(f);
+  EXPECT_FALSE(pm.is_shadow(f));
+  EXPECT_EQ(pm.total_shadow_frames(), 0u);
+  // The recycled frame comes back live and unmarked.
+  ASSERT_EQ(pm.alloc_on(1), f);
+  EXPECT_TRUE(pm.is_live(f));
+  EXPECT_FALSE(pm.is_shadow(f));
+  EXPECT_EQ(pm.shadow_frames(1), 0u);
+}
+
+TEST_F(PhysMemTest, LivenessFalsePastTheEndAndOnFreedFrames) {
+  PhysMem pm(topo_, Backing::kPhantom, 4);
+  EXPECT_FALSE(pm.is_live(0));  // no frame created yet
+  EXPECT_FALSE(pm.is_shadow(0));
+  const FrameId f = pm.alloc_on(0);
+  pm.mark_shadow(f);
+  EXPECT_TRUE(pm.is_live(f));
+  EXPECT_FALSE(pm.is_live(f + 1));
+  EXPECT_FALSE(pm.is_shadow(f + 1));
+  EXPECT_FALSE(pm.is_live(kInvalidFrame));
+  EXPECT_FALSE(pm.is_shadow(kInvalidFrame));
+  pm.free(f);
+  EXPECT_FALSE(pm.is_live(f));
+  EXPECT_FALSE(pm.is_shadow(f));
+}
+
+TEST_F(PhysMemTest, RecycledMaterializedFrameKeepsItsBuffer) {
+  PhysMem pm(topo_, Backing::kMaterialized, 4);
+  const FrameId f = pm.alloc_on(3);
+  ASSERT_NE(pm.data(f), nullptr);
+  pm.free(f);
+  ASSERT_EQ(pm.alloc_on(3), f);
+  ASSERT_NE(pm.data(f), nullptr);
+  std::memset(pm.data(f), 0x5A, kPageSize);
+  EXPECT_EQ(static_cast<unsigned char>(pm.data(f)[0]), 0x5Au);
+}
+
+TEST_F(PhysMemTest, RecycledPhantomFrameHasNoData) {
+  PhysMem pm(topo_, Backing::kPhantom, 4);
+  const FrameId f = pm.alloc_on(2);
+  pm.free(f);
+  ASSERT_EQ(pm.alloc_on(2), f);
+  EXPECT_EQ(pm.data(f), nullptr);
+}
+
 }  // namespace
 }  // namespace numasim::mem

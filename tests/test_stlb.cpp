@@ -2,8 +2,10 @@
 // accounting, cost identity against a cache-disabled kernel, generation
 // invalidation at the mapping-mutation sites, the validate() descriptor
 // audit, and the access() edge cases that guard the eligibility rules
-// (zero-length accesses, mid-extent faults across chunk boundaries, and
-// write reuse of already-dirty runs).
+// (zero-length accesses, mid-extent faults across chunk boundaries, write
+// reuse of already-dirty runs, and the admission rule: only extents of at
+// least one page-table chunk, vm::PageTable::kChunkPages pages, are looked
+// up or cached — so the cache-exercising tests use extents of that size).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -13,6 +15,9 @@
 
 namespace numasim::kern {
 namespace {
+
+// The smallest extent the soft-TLB admits.
+constexpr std::uint64_t kChunk = vm::PageTable::kChunkPages;
 
 KernelConfig config_with_stlb(const topo::Topology& topo, bool stlb) {
   KernelConfig cfg;
@@ -61,7 +66,8 @@ class StlbLockstep : public ::testing::Test {
 
 TEST_F(StlbTest, LenZeroAccessTouchesNothing) {
   ThreadCtx t = ctx_on(0);
-  const vm::Vaddr a = k_.sys_mmap(t, 4 * mem::kPageSize, vm::Prot::kReadWrite);
+  const std::uint64_t len = kChunk * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
   const sim::Time before = t.clock;
   const AccessResult r = k_.access(t, a, 0, vm::Prot::kRead, 3500.0);
   EXPECT_EQ(r.pages, 0u);
@@ -69,8 +75,9 @@ TEST_F(StlbTest, LenZeroAccessTouchesNothing) {
   EXPECT_EQ(t.clock, before);
   // The early return precedes the cache: no hit, no miss, even when a
   // descriptor covering the address exists.
-  k_.access(t, a, 4 * mem::kPageSize, vm::Prot::kWrite, 3500.0);
-  k_.access(t, a, 4 * mem::kPageSize, vm::Prot::kRead, 3500.0);
+  k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
+  k_.access(t, a, len, vm::Prot::kRead, 3500.0);
+  ASSERT_EQ(k_.stats().stlb_misses, 2u);  // the populating pass and the fill
   const std::uint64_t hits = k_.stats().stlb_hits;
   const std::uint64_t misses = k_.stats().stlb_misses;
   const AccessResult r2 = k_.access(t, a, 0, vm::Prot::kRead, 3500.0);
@@ -80,7 +87,7 @@ TEST_F(StlbTest, LenZeroAccessTouchesNothing) {
 }
 
 TEST_F(StlbLockstep, RepeatedReadsHitAndStayCostIdentical) {
-  const std::uint64_t len = 64 * mem::kPageSize;
+  const std::uint64_t len = kChunk * mem::kPageSize;
   const vm::Vaddr a = on_.sys_mmap(ton_, len, vm::Prot::kReadWrite);
   const vm::Vaddr b = off_.sys_mmap(toff_, len, vm::Prot::kReadWrite);
   ASSERT_EQ(a, b);
@@ -102,7 +109,7 @@ TEST_F(StlbLockstep, RepeatedReadsHitAndStayCostIdentical) {
 
 TEST_F(StlbTest, WriteHitRequiresAlreadyDirtyRun) {
   ThreadCtx t = ctx_on(0);
-  const std::uint64_t len = 16 * mem::kPageSize;
+  const std::uint64_t len = kChunk * mem::kPageSize;
   const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
   k_.access(t, a, len, vm::Prot::kWrite, 3500.0);  // populate; pages dirty
   k_.access(t, a, len, vm::Prot::kRead, 3500.0);   // fill: dirty => kWriteOk
@@ -111,7 +118,7 @@ TEST_F(StlbTest, WriteHitRequiresAlreadyDirtyRun) {
   // would record differently (re-set kDirty is idempotent; see the
   // write_gen argument in docs/performance.md), so it may hit.
   const AccessResult r = k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
-  EXPECT_EQ(r.pages, 16u);
+  EXPECT_EQ(r.pages, kChunk);
   EXPECT_EQ(r.minor_faults, 0u);
   EXPECT_EQ(k_.stats().stlb_hits, hits + 1);
   EXPECT_NO_THROW(k_.validate(t));
@@ -119,11 +126,13 @@ TEST_F(StlbTest, WriteHitRequiresAlreadyDirtyRun) {
 
 TEST_F(StlbTest, ReadPopulatedRunDoesNotEarnWriteHit) {
   ThreadCtx t = ctx_on(0);
-  const std::uint64_t len = 8 * mem::kPageSize;
+  const std::uint64_t len = kChunk * mem::kPageSize;
   const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
   k_.access(t, a, len, vm::Prot::kRead, 3500.0);  // populate clean pages
   k_.access(t, a, len, vm::Prot::kRead, 3500.0);  // fill: clean => read-only
+  k_.access(t, a, len, vm::Prot::kRead, 3500.0);  // the read-only right hits
   const std::uint64_t hits = k_.stats().stlb_hits;
+  ASSERT_EQ(hits, 1u);
   // The first write must walk (it dirties pages and bumps write_gen — state
   // the fast path is not allowed to skip on clean pages).
   k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
@@ -165,6 +174,61 @@ TEST_F(StlbLockstep, ChunkBoundarySpanWithMidExtentFault) {
   EXPECT_NO_THROW(on_.validate(ton_));
 }
 
+TEST_F(StlbLockstep, AdmitsOnlyChunkSpanningExtents) {
+  const std::uint64_t len = 3 * kChunk * mem::kPageSize;
+  const vm::Vaddr a = on_.sys_mmap(ton_, len, vm::Prot::kReadWrite);
+  const vm::Vaddr b = off_.sys_mmap(toff_, len, vm::Prot::kReadWrite);
+  ASSERT_EQ(a, b);
+  auto both = [&](std::uint64_t offset, std::uint64_t bytes, vm::Prot want) {
+    const AccessResult ra = on_.access(ton_, a + offset, bytes, want, 3500.0);
+    const AccessResult rb = off_.access(toff_, b + offset, bytes, want, 3500.0);
+    EXPECT_EQ(ra.pages, rb.pages);
+    EXPECT_EQ(ra.minor_faults, rb.minor_faults);
+    EXPECT_EQ(ton_.clock, toff_.clock) << bytes << " bytes at +" << offset;
+  };
+  both(0, len, vm::Prot::kWrite);  // populate: faults, so nothing is cached
+  const std::uint64_t hits = on_.stats().stlb_hits;
+  const std::uint64_t misses = on_.stats().stlb_misses;
+
+  // One page short of a chunk: never looked up, never cached.
+  for (int rep = 0; rep < 3; ++rep)
+    both(0, (kChunk - 1) * mem::kPageSize, vm::Prot::kRead);
+  // Strided tile rows (the LU shape: 512 one-page rows) are one-page
+  // extents each, however many rows one call covers.
+  for (int rep = 0; rep < 2; ++rep) {
+    const AccessResult ra = on_.access_strided(
+        ton_, a, kChunk, mem::kPageSize, 2 * mem::kPageSize, vm::Prot::kRead, 3500.0);
+    const AccessResult rb = off_.access_strided(
+        toff_, b, kChunk, mem::kPageSize, 2 * mem::kPageSize, vm::Prot::kRead, 3500.0);
+    EXPECT_EQ(ra.pages, kChunk);
+    EXPECT_EQ(ra.pages, rb.pages);
+    EXPECT_EQ(ton_.clock, toff_.clock);
+  }
+  EXPECT_EQ(on_.stats().stlb_hits, hits);
+  EXPECT_EQ(on_.stats().stlb_misses, misses);
+
+  // A full chunk misses and fills once; its repeat hits.
+  both(0, kChunk * mem::kPageSize, vm::Prot::kRead);
+  EXPECT_EQ(on_.stats().stlb_misses, misses + 1);
+  EXPECT_EQ(on_.stats().stlb_hits, hits);
+  both(0, kChunk * mem::kPageSize, vm::Prot::kRead);
+  EXPECT_EQ(on_.stats().stlb_hits, hits + 1);
+
+  // Around the boundary with a mid-page start (in the second chunk, clear
+  // of the descriptor above) the extent touches one page more than its
+  // length in pages, so all three are admitted; each repeat charges its
+  // hit exactly like the walk.
+  const std::uint64_t mid = kChunk * mem::kPageSize + mem::kPageSize / 2;
+  for (const std::uint64_t pages : {kChunk - 1, kChunk, kChunk + 1}) {
+    const std::uint64_t before = on_.stats().stlb_hits;
+    both(mid, pages * mem::kPageSize, vm::Prot::kRead);
+    both(mid, pages * mem::kPageSize, vm::Prot::kRead);
+    EXPECT_EQ(on_.stats().stlb_hits, before + 1) << pages << " pages";
+  }
+  EXPECT_EQ(off_.stats().stlb_hits + off_.stats().stlb_misses, 0u);
+  EXPECT_NO_THROW(on_.validate(ton_));
+}
+
 TEST_F(StlbTest, MappingMutationsBumpTheGeneration) {
   ThreadCtx t = ctx_on(0);
   const std::uint64_t len = 8 * mem::kPageSize;
@@ -198,21 +262,21 @@ TEST_F(StlbTest, MappingMutationsBumpTheGeneration) {
 
 TEST_F(StlbTest, MigrationInvalidatesCachedDescriptor) {
   ThreadCtx t = ctx_on(0);  // node 0
-  const std::uint64_t len = 32 * mem::kPageSize;
+  const std::uint64_t len = kChunk * mem::kPageSize;
   const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
   k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
   k_.access(t, a, len, vm::Prot::kRead, 3500.0);  // fill
   k_.access(t, a, len, vm::Prot::kRead, 3500.0);  // hit
   EXPECT_EQ(k_.stats().stlb_hits, 1u);
   const Kernel::MoveRange mr{a, len, 2};
-  ASSERT_EQ(k_.sys_move_pages_ranged(t, {&mr, 1}), 32);
+  ASSERT_EQ(k_.sys_move_pages_ranged(t, {&mr, 1}), static_cast<long>(kChunk));
   // The cached descriptor names node 0; the bump keeps it from serving a
   // stale one-stream charge. The re-walk sees node 2 and refills.
   k_.access(t, a, len, vm::Prot::kRead, 3500.0);
   EXPECT_EQ(k_.stats().stlb_hits, 1u);
   k_.access(t, a, len, vm::Prot::kRead, 3500.0);
   EXPECT_EQ(k_.stats().stlb_hits, 2u);
-  EXPECT_EQ(k_.pages_on_node(pid_, a, len, 2), 32u);
+  EXPECT_EQ(k_.pages_on_node(pid_, a, len, 2), kChunk);
   EXPECT_NO_THROW(k_.validate(t));
 }
 
@@ -234,7 +298,7 @@ TEST_F(StlbTest, ValidateAuditRejectsCorruptDescriptor) {
 }
 
 TEST_F(StlbLockstep, MixedMutationSequenceStaysEventIdentical) {
-  const std::uint64_t len = 128 * mem::kPageSize;
+  const std::uint64_t len = kChunk * mem::kPageSize;
   const vm::Vaddr a = on_.sys_mmap(ton_, len, vm::Prot::kReadWrite);
   const vm::Vaddr b = off_.sys_mmap(toff_, len, vm::Prot::kReadWrite);
   auto step = [&] {
