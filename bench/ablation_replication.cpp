@@ -16,9 +16,9 @@ enum class Mode { kStatic, kNextTouch, kReplicate };
 
 sim::Time run(Mode mode, std::uint64_t npages, unsigned passes) {
   rt::Machine::Config mc = bench::phantom_config();
+  mc.replication = true;
   rt::Machine m(mc);
   bench::observe(m);
-  m.kernel().set_replication_enabled(true);
   sim::Time span = 0;
 
   m.run_main(0, [&](rt::Thread& th) -> sim::Task<void> {

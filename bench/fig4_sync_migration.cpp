@@ -12,6 +12,12 @@ using namespace numasim;
 
 namespace {
 
+kern::KernelConfig probe_config(const topo::Topology& t, kern::MovePagesImpl impl) {
+  kern::KernelConfig cfg = bench::phantom_kernel_config(t);
+  cfg.move_pages_impl = impl;
+  return cfg;
+}
+
 struct Probe {
   kern::Kernel k;
   kern::Pid pid;
@@ -19,8 +25,9 @@ struct Probe {
   vm::Vaddr buf;
   std::uint64_t len;
 
-  Probe(const topo::Topology& t, std::uint64_t npages)
-      : k(bench::phantom_kernel_config(t)), pid(k.create_process()), len(npages * mem::kPageSize) {
+  Probe(const topo::Topology& t, std::uint64_t npages,
+        kern::MovePagesImpl impl = kern::MovePagesImpl::kLinear)
+      : k(probe_config(t, impl)), pid(k.create_process()), len(npages * mem::kPageSize) {
     bench::observe(k);
     ctx.pid = pid;
     ctx.core = 0;  // node 0
@@ -49,8 +56,7 @@ double measure_migrate_pages(const topo::Topology& t, std::uint64_t npages) {
 
 double measure_move_pages(const topo::Topology& t, std::uint64_t npages,
                           kern::MovePagesImpl impl) {
-  Probe p(t, npages);
-  p.k.set_move_pages_impl(impl);
+  Probe p(t, npages, impl);
   std::vector<vm::Vaddr> pages;
   pages.reserve(npages);
   for (std::uint64_t i = 0; i < npages; ++i)

@@ -14,6 +14,12 @@ using namespace numasim;
 
 namespace {
 
+kern::KernelConfig probe_config(const topo::Topology& t, kern::MovePagesImpl impl) {
+  kern::KernelConfig cfg = bench::phantom_kernel_config(t);
+  cfg.move_pages_impl = impl;
+  return cfg;
+}
+
 struct Probe {
   kern::Kernel k;
   kern::Pid pid;
@@ -22,8 +28,9 @@ struct Probe {
   vm::Vaddr buf;
   std::uint64_t len;
 
-  Probe(const topo::Topology& t, std::uint64_t npages)
-      : k(bench::phantom_kernel_config(t)), pid(k.create_process()),
+  Probe(const topo::Topology& t, std::uint64_t npages,
+        kern::MovePagesImpl impl = kern::MovePagesImpl::kLinear)
+      : k(probe_config(t, impl)), pid(k.create_process()),
         len(npages * mem::kPageSize) {
     bench::observe(k);
     owner.pid = pid;
@@ -45,8 +52,7 @@ struct Probe {
 
 double measure_user_nt(const topo::Topology& t, std::uint64_t npages,
                        kern::MovePagesImpl impl) {
-  Probe p(t, npages);
-  p.k.set_move_pages_impl(impl);
+  Probe p(t, npages, impl);
   lib::UserNextTouch unt(p.k, p.pid);
   const sim::Time t0 = p.toucher.clock;
   // Marking happens on the touching side, as a scheduler hook would.

@@ -26,8 +26,10 @@ Spmv::Spmv(rt::Machine& m, rt::Team& team, SpmvConfig cfg)
     throw std::invalid_argument{"Spmv: empty matrix"};
   if (cfg_.numeric && m.kernel().phys().backing() != mem::Backing::kMaterialized)
     throw std::invalid_argument{"Spmv: numeric mode needs materialized memory"};
-  if (cfg_.policy == SpmvConfig::Policy::kNextTouchReplX)
-    m.kernel().set_replication_enabled(true);
+  if (cfg_.policy == SpmvConfig::Policy::kNextTouchReplX &&
+      !m.kernel().config().replication)
+    throw std::invalid_argument{
+        "Spmv: kNextTouchReplX needs a kernel built with replication"};
   generate_structure();
 }
 

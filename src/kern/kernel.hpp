@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
@@ -249,14 +250,6 @@ class Kernel {
   const KernelStats& stats() const { return kstats_; }
   LockModel lock_model() const { return cfg_.lock_model; }
   MigrationMode migration_mode() const { return cfg_.migration_mode; }
-
-  /// Selects which move_pages implementation sys_move_pages uses.
-  void set_move_pages_impl(MovePagesImpl impl) { move_impl_ = impl; }
-  MovePagesImpl move_pages_impl() const { return move_impl_; }
-
-  /// Extension toggle: replicate read-only pages on remote read faults.
-  void set_replication_enabled(bool on) { replication_ = on; }
-  bool replication_enabled() const { return replication_; }
 
   // --- observability ----------------------------------------------------------
   /// Subscribe a tracepoint sink: every kernel tracepoint (instant events
@@ -498,7 +491,6 @@ class Kernel {
     vm::MemPolicy task_policy;  // set_mempolicy default for new VMAs
     SegvHandler segv;
     OwnedTimeline mmap_lock;
-    OwnedTimeline pt_lock;
     sim::Timeline migration_pipeline;
     // LockModel::kRange state: the whole-space rwsem (shared by migration
     // paths, exclusive for mmap surgery) and the per-VMA range locks, keyed
@@ -593,6 +585,48 @@ class Kernel {
     kOk,
     kNoMem,     ///< destination-node allocation failed (per-page -ENOMEM)
     kCopyFail,  ///< page copy failed permanently / retries exhausted (-EAGAIN)
+    kDeferred,  ///< degraded transaction left in place (kDeferOnDegrade)
+  };
+
+  /// Which engine moves a page — the pipeline's second parameter.
+  enum class MigrateEngine : std::uint8_t {
+    /// cfg_.migration_mode; a degraded transaction stop-and-copies.
+    kConfigured,
+    /// migrate_pages(2): the target process is quiesced, so there is no
+    /// running writer worth a transaction.
+    kStopAndCopy,
+    /// numab promotion: a degraded transaction leaves the page for a later
+    /// scan pass instead of stop-and-copying a page only suspected hot.
+    kDeferOnDegrade,
+  };
+
+  /// Who pays for a page move — the pipeline's first parameter. A caller
+  /// bills its own clock `t`, with copies inline or deferred into `copies`
+  /// (charged by the batch tail). A kmigrated stop-and-copy batch instead
+  /// accrues control and stall time to `*service` and chains each copy on
+  /// `*copy_cursor`; its `t` is the daemon's scratch context, which only
+  /// hosts nested direct demotion and stamps tracepoints.
+  struct PageBill {
+    ThreadCtx& t;
+    CopyBatch* copies = nullptr;
+    sim::Time* service = nullptr;
+    sim::Time* copy_cursor = nullptr;
+
+    /// Time billed so far; the per-page delta feeds kern.migrate_page_ns.
+    sim::Time billed() const {
+      return service != nullptr ? *service + *copy_cursor : t.clock;
+    }
+  };
+
+  /// How an entry point moves its pages: the pipeline's parameters, fixed
+  /// for a batch. Who pays and which engine, plus the per-page control
+  /// charge (as `control_kind`) and the cost kind of the copies.
+  struct PageMover {
+    PageBill bill;
+    MigrateEngine engine;
+    sim::Time control_cost;
+    sim::CostKind control_kind;
+    sim::CostKind copy_kind;
   };
 
   /// Resolved schedule of one page copy under the attached injector:
@@ -646,30 +680,58 @@ class Kernel {
   /// injector drops it. Also bumps the shootdown stats.
   sim::Time shootdown_cost(const ThreadCtx& t);
 
-  /// Migrate one present page (`vpn`, for tracing) to `target`; frees the
-  /// old frame. Charges `control_kind`; the copy goes to `copies` if given,
-  /// else is charged inline as `copy_kind`. On failure the original frame
-  /// stays mapped.
-  /// (Instrumented wrapper around do_migrate_page: "migrate-page" span +
-  /// kern.migrate_page_ns histogram.)
-  MigrateResult migrate_page(ThreadCtx& t, Process& p, vm::Pte& pte, vm::Vpn vpn,
-                             topo::NodeId target, sim::Time control_cost,
-                             sim::CostKind control_kind, sim::CostKind copy_kind,
-                             CopyBatch* copies);
-  MigrateResult do_migrate_page(ThreadCtx& t, Process& p, vm::Pte& pte,
-                                vm::Vpn vpn, topo::NodeId target,
-                                sim::Time control_cost, sim::CostKind control_kind,
-                                sim::CostKind copy_kind, CopyBatch* copies);
+  /// The one page-migration pipeline: every page move in the kernel goes
+  /// through here. Moves the present page `vpn` to `target` as `how` says.
+  /// On failure the original frame stays mapped. Also the instrumentation
+  /// point: one "migrate-page" span and one kern.migrate_page_ns sample (the
+  /// time billed for the page) per call.
+  MigrateResult migrate_page(const PageMover& how, Process& p, vm::Pte& pte,
+                             vm::Vpn vpn, topo::NodeId target) {
+    // Inline early-out: with no registry and no sink attached (every
+    // untraced run) the per-page move skips the instrumentation frame.
+    if (h_migrate_page_ == nullptr && sinks_.empty())
+      return do_migrate_page(how, p, pte, vpn, target);
+    return migrate_page_traced(how, p, pte, vpn, target);
+  }
+  MigrateResult migrate_page_traced(const PageMover& how, Process& p,
+                                    vm::Pte& pte, vm::Vpn vpn,
+                                    topo::NodeId target);
+  /// The pipeline's steps: the transactional engine first when selected and
+  /// eligible, degrading per page to stop-and-copy (or deferring); then
+  /// destination alloc on exactly `target` with one direct-demotion retry on
+  /// tiered machines, the control charge, the copy with injected retries,
+  /// backoff and rollback, and commit_page().
+  MigrateResult do_migrate_page(const PageMover& how, Process& p, vm::Pte& pte,
+                                vm::Vpn vpn, topo::NodeId target);
+
+  /// The commit step every engine ends in: copy the page's bytes into `nf`,
+  /// free the old frame, flip the PTE to `nf`, move the page between
+  /// PlacementCounts rows and retire cached soft-TLB descriptors (the page
+  /// changed nodes under them). Charges nothing; PTE flag bits stay the
+  /// caller's.
+  void commit_page(Process& p, vm::Pte& pte, vm::Vpn vpn, mem::FrameId nf) {
+    if (std::byte* dst = phys_.data(nf)) {
+      if (const std::byte* src = phys_.data(pte.frame))
+        std::memcpy(dst, src, mem::kPageSize);
+    }
+    const topo::NodeId from = phys_.node_of(pte.frame);
+    phys_.free(pte.frame);
+    pte.frame = nf;
+    p.placement.move(vpn, from, phys_.node_of(nf));
+    stlb_invalidate(p);  // migrate site: the page changed nodes under any descriptor
+  }
 
   /// Terminal outcome of one transactional migration attempt. kDegraded
   /// means the shadow frame was released and the page is untouched: the
   /// caller must stop-and-copy it, or defer it (numab promotion).
   enum class TxnResult : std::uint8_t { kCommitted, kDegraded };
 
-  /// Drive one TxnMigrator to a terminal state, wrapped in a "txn-migrate"
-  /// span. Defined in txn_migrate.cpp.
+  /// Drive one TxnMigrator for the page on node `from` to a terminal state,
+  /// wrapped in a "txn-migrate" span; a degraded transaction is counted and
+  /// traced here. Defined in txn_migrate.cpp.
   TxnResult do_migrate_page_txn(ThreadCtx& t, Process& p, vm::Vpn vpn,
-                                topo::NodeId target, sim::CostKind control_kind,
+                                topo::NodeId from, topo::NodeId target,
+                                sim::CostKind control_kind,
                                 sim::CostKind copy_kind);
 
   /// Should this page go through the transactional engine? (Mode selected
@@ -678,18 +740,6 @@ class Kernel {
   bool txn_eligible(const vm::Pte& pte) const {
     return cfg_.migration_mode == MigrationMode::kTransactional &&
            !(pte.flags & (vm::Pte::kReplica | vm::Pte::kHuge));
-  }
-
-  /// Serialized per-page share of a migration batch under the current
-  /// migration mode: transactional batches only contend on their commit
-  /// flips (copies run outside the critical section), so the stop-and-copy
-  /// constants are replaced by the far smaller txn commit shares.
-  sim::Time migrate_serial_per_page(sim::Time stop_and_copy_share) const {
-    if (cfg_.migration_mode != MigrationMode::kTransactional)
-      return stop_and_copy_share;
-    return cfg_.lock_model == LockModel::kRange
-               ? cost_.txn_range_commit_serial_per_page
-               : cost_.txn_commit_serial_per_page;
   }
 
   // Un-instrumented syscall bodies; the public entry points wrap them in a
@@ -707,35 +757,41 @@ class Kernel {
   SyscallResult do_migrate_pages(ThreadCtx& t, Pid target, topo::NodeMask from,
                                  topo::NodeMask to);
 
-  /// Serialize a batch of `pages` migrations on the process migration
-  /// pipeline (the cross-thread critical sections): reserves
-  /// pages*per_page starting at `entry` and extends the thread clock to the
-  /// grant's end if the pipeline is backed up. A single migrating thread is
-  /// never extended.
-  void serialize_migration(ThreadCtx& t, Process& p, sim::Time entry,
-                           std::uint64_t pages, sim::Time per_page) {
-    // Inline zero-page early-out: most accesses migrate nothing, and this
-    // runs once per access/syscall on the hot path.
-    if (pages == 0) return;
-    do_serialize_migration(t, p, entry, pages, per_page);
-  }
-  void do_serialize_migration(ThreadCtx& t, Process& p, sim::Time entry,
-                              std::uint64_t pages, sim::Time per_page);
+  /// Stop-and-copy serialized per-page shares of one family of migration
+  /// batches, under each lock model.
+  struct SerialShare {
+    sim::Time coarse;
+    sim::Time range;
+  };
 
-  /// kRange replacement for serialize_migration: reserves an exclusive hold
-  /// on the range locks covering [lo, hi) from `entry` for the pages'
-  /// serialized work plus ONE coalesced TLB-shootdown round (instead of the
-  /// per-page shootdowns baked into the coarse constants). Disjoint ranges
-  /// never queue on each other; overlapping ones pay a lock bounce.
-  void serialize_migration_ranged(ThreadCtx& t, Process& p, vm::Vaddr lo,
-                                  vm::Vaddr hi, sim::Time entry,
-                                  std::uint64_t pages, sim::Time per_page) {
-    if (pages == 0) return;
-    do_serialize_migration_ranged(t, p, lo, hi, entry, pages, per_page);
+  /// The one batch tail every synchronous migration batch ends with: charge
+  /// the copies deferred into `copies` as `copy_kind`, then serialize the
+  /// batch's `pages` moves begun at `entry` under the lock model. kCoarse
+  /// reserves pages*per_page on the process migration pipeline (the
+  /// cross-thread critical sections). kRange instead holds the range locks
+  /// covering [lo, hi) exclusively for that work plus ONE coalesced
+  /// TLB-shootdown round (instead of the per-page shootdowns baked into the
+  /// coarse constants), so disjoint ranges never queue on each other. The
+  /// per-page share is `share`, except that a transactional engine only
+  /// contends on its commit flips (copies run outside the critical
+  /// section) and takes the far smaller txn commit share. The thread clock
+  /// is extended only when the serialization is backed up; a single
+  /// migrating thread never is.
+  void migration_batch_tail(ThreadCtx& t, Process& p, CopyBatch& copies,
+                            sim::CostKind copy_kind, vm::Vaddr lo, vm::Vaddr hi,
+                            sim::Time entry, std::uint64_t pages,
+                            MigrateEngine engine, SerialShare share) {
+    // Inline early-out: most accesses migrate nothing, and this runs once
+    // per access/syscall on the hot path.
+    if (copies.runs.empty() && pages == 0) return;
+    do_migration_batch_tail(t, p, copies, copy_kind, lo, hi, entry, pages,
+                            engine, share);
   }
-  void do_serialize_migration_ranged(ThreadCtx& t, Process& p, vm::Vaddr lo,
-                                     vm::Vaddr hi, sim::Time entry,
-                                     std::uint64_t pages, sim::Time per_page);
+  void do_migration_batch_tail(ThreadCtx& t, Process& p, CopyBatch& copies,
+                               sim::CostKind copy_kind, vm::Vaddr lo,
+                               vm::Vaddr hi, sim::Time entry,
+                               std::uint64_t pages, MigrateEngine engine,
+                               SerialShare share);
 
   /// Reserve the range locks of every VMA overlapping [lo, hi) for `hold`
   /// starting no earlier than `start`. Returns the combined slot (start =
@@ -751,14 +807,12 @@ class Kernel {
 
   /// kmigrated batch execution: validate-free walk of one range, performing
   /// the page moves with all time charged to `node`'s daemon timeline
-  /// starting at `submit`. Returns pages queued.
-  /// `defer_on_degrade`: in transactional mode, a page whose transaction
-  /// degrades is skipped (to be retried by a later pass — numab promotion)
-  /// instead of stop-and-copied on the daemon's timeline.
-  std::uint64_t submit_kmigrated_batch(ThreadCtx& t, Process& p, vm::Vaddr addr,
-                                       std::uint64_t len, topo::NodeId node,
-                                       sim::Time submit,
-                                       bool defer_on_degrade = false);
+  /// starting at `submit`. Returns pages queued. `engine` is kConfigured or
+  /// kDeferOnDegrade (numab promotion).
+  std::uint64_t submit_kmigrated_batch(
+      ThreadCtx& t, Process& p, vm::Vaddr addr, std::uint64_t len,
+      topo::NodeId node, sim::Time submit,
+      MigrateEngine engine = MigrateEngine::kConfigured);
 
   /// Next-touch migrate-ahead (cfg_.nt_async_window > 0): after a next-touch
   /// fault migrates one page synchronously, hand up to `window` further
@@ -816,14 +870,27 @@ class Kernel {
     for (obs::TraceSink* s : sinks_) s->record(e);
   }
 
-  /// Record a lock-wait sample into kern.lock_wait_ns (host-side only).
-  void note_lock_wait(sim::Time wait) {
-    if (h_lock_wait_ != nullptr && wait > 0) h_lock_wait_->record(wait);
+  /// Block until `until` (a no-op once past it): the wait is kLockWait and
+  /// one kern.lock_wait_ns sample (host-side only).
+  void wait_until(ThreadCtx& t, sim::Time until) {
+    if (until <= t.clock) return;
+    t.stats.add(sim::CostKind::kLockWait, until - t.clock);
+    if (h_lock_wait_ != nullptr) h_lock_wait_->record(until - t.clock);
+    t.clock = until;
   }
 
-  /// Reserve the process page-table lock; charges wait as kLockWait and the
-  /// hold as `kind`.
-  void with_pt_lock(ThreadCtx& t, Process& p, sim::Time hold, sim::CostKind kind);
+  /// Occupy a granted lock slot: wait for its start, then hold it as `kind`
+  /// until its finish.
+  void take_slot(ThreadCtx& t, const sim::Slot& slot, sim::CostKind kind) {
+    wait_until(t, slot.start);
+    t.stats.add(kind, slot.finish - slot.start);
+    t.clock = slot.finish;
+  }
+
+  /// Release the frames of every present page in [addr, addr+len): its
+  /// replicas, its PlacementCounts entry and its home frame; the PTE is
+  /// zeroed. Returns the pages released. Charges nothing.
+  std::uint64_t release_frames(Process& p, vm::Vaddr addr, std::uint64_t len);
 
   KernelConfig cfg_;  // owns the topology; declared first so hw_/phys_ may
                       // reference into it
@@ -832,8 +899,6 @@ class Kernel {
   HwState hw_;
   mem::PhysMem phys_;
   Kmigrated kmigrated_;
-  MovePagesImpl move_impl_ = MovePagesImpl::kLinear;
-  bool replication_ = false;
   EventLog* elog_ = nullptr;
   std::vector<obs::TraceSink*> sinks_;
   obs::Registry* metrics_ = nullptr;

@@ -19,9 +19,7 @@ Kernel::Kernel(KernelConfig cfg)
     : cfg_(std::move(cfg)),
       hw_(cfg_.topology),
       phys_(cfg_.topology, cfg_.backing, cfg_.max_frames_per_node),
-      kmigrated_(cfg_.topology.num_nodes()),
-      move_impl_(cfg_.move_pages_impl),
-      replication_(cfg_.replication) {
+      kmigrated_(cfg_.topology.num_nodes()) {
   if (!cfg_.fault_plan.empty()) {
     owned_injector_ = std::make_unique<FaultInjector>(cfg_.fault_plan,
                                                       cfg_.fault_seed);
@@ -284,16 +282,6 @@ void Kernel::set_task_policy(Pid pid, const vm::MemPolicy& pol) {
   stlb_invalidate(p);  // policy-change site (uniform with sys_set_mempolicy)
 }
 
-void Kernel::with_pt_lock(ThreadCtx& t, Process& p, sim::Time hold,
-                          sim::CostKind kind) {
-  const sim::Slot slot = p.pt_lock.reserve(t.clock, hold, t.core, cost_.lock_bounce);
-  const sim::Time wait = slot.start - t.clock;
-  if (wait > 0) t.stats.add(sim::CostKind::kLockWait, wait);
-  note_lock_wait(wait);
-  t.stats.add(kind, slot.finish - slot.start);
-  t.clock = slot.finish;
-}
-
 void Kernel::populate_page(ThreadCtx& t, Process& p, const vm::Vma& vma,
                            vm::Vpn vpn, vm::Pte& pte) {
   const topo::NodeId local = topo_.node_of_core(t.core);
@@ -323,16 +311,6 @@ void Kernel::populate_page(ThreadCtx& t, Process& p, const vm::Vma& vma,
   p.placement.inc(vpn, phys_.node_of(frame));
   ++kstats_.minor_faults;
   trace(t, EventType::kMinorFault, vpn, 1, topo::kInvalidNode, phys_.node_of(frame));
-}
-
-void Kernel::do_serialize_migration(ThreadCtx& t, Process& p, sim::Time entry,
-                                    std::uint64_t pages, sim::Time per_page) {
-  const sim::Slot slot = p.migration_pipeline.reserve(entry, pages * per_page);
-  if (slot.finish > t.clock) {
-    t.stats.add(sim::CostKind::kLockWait, slot.finish - t.clock);
-    note_lock_wait(slot.finish - t.clock);
-    t.clock = slot.finish;
-  }
 }
 
 sim::Slot Kernel::range_lock_reserve(ThreadCtx& t, Process& p, vm::Vaddr lo,
@@ -374,20 +352,28 @@ sim::Time Kernel::shootdown_round(std::uint64_t pages) {
   return c;
 }
 
-void Kernel::do_serialize_migration_ranged(ThreadCtx& t, Process& p,
-                                           vm::Vaddr lo, vm::Vaddr hi,
-                                           sim::Time entry, std::uint64_t pages,
-                                           sim::Time per_page) {
-  // The run's serialized work plus one coalesced shootdown round, held on
-  // the range locks only — disjoint runs never see each other.
-  const sim::Time hold = pages * per_page + shootdown_round(pages);
-  const sim::Slot slot =
-      range_lock_reserve(t, p, lo, hi, entry, hold, /*exclusive=*/true);
-  if (slot.finish > t.clock) {
-    t.stats.add(sim::CostKind::kLockWait, slot.finish - t.clock);
-    note_lock_wait(slot.finish - t.clock);
-    t.clock = slot.finish;
+void Kernel::do_migration_batch_tail(ThreadCtx& t, Process& p, CopyBatch& copies,
+                                     sim::CostKind copy_kind, vm::Vaddr lo,
+                                     vm::Vaddr hi, sim::Time entry,
+                                     std::uint64_t pages, MigrateEngine engine,
+                                     SerialShare share) {
+  flush_copy_batch(t, copies, copy_kind);
+  if (pages == 0) return;
+  const bool txn = engine != MigrateEngine::kStopAndCopy &&
+                   cfg_.migration_mode == MigrationMode::kTransactional;
+  sim::Slot slot;
+  if (cfg_.lock_model == LockModel::kRange) {
+    // The run's serialized work plus one coalesced shootdown round, held on
+    // the range locks only — disjoint runs never see each other.
+    const sim::Time per_page =
+        txn ? cost_.txn_range_commit_serial_per_page : share.range;
+    const sim::Time hold = pages * per_page + shootdown_round(pages);
+    slot = range_lock_reserve(t, p, lo, hi, entry, hold, /*exclusive=*/true);
+  } else {
+    const sim::Time per_page = txn ? cost_.txn_commit_serial_per_page : share.coarse;
+    slot = p.migration_pipeline.reserve(entry, pages * per_page);
   }
+  wait_until(t, slot.finish);
 }
 
 void Kernel::flush_copy_batch(ThreadCtx& t, CopyBatch& batch, sim::CostKind kind) {
@@ -400,41 +386,24 @@ void Kernel::flush_copy_batch(ThreadCtx& t, CopyBatch& batch, sim::CostKind kind
   batch.runs.clear();
 }
 
-Kernel::MigrateResult Kernel::migrate_page(ThreadCtx& t, Process& p, vm::Pte& pte,
-                                           vm::Vpn vpn, topo::NodeId target,
-                                           sim::Time control_cost,
-                                           sim::CostKind control_kind,
-                                           sim::CostKind copy_kind,
-                                           CopyBatch* copies) {
+Kernel::MigrateResult Kernel::migrate_page_traced(const PageMover& how,
+                                                  Process& p, vm::Pte& pte,
+                                                  vm::Vpn vpn,
+                                                  topo::NodeId target) {
+  const ThreadCtx& t = how.bill.t;
   const sim::Time begin = t.clock;
+  const sim::Time billed = how.bill.billed();
   const topo::NodeId from = phys_.node_of(pte.frame);
-  MigrateResult r;
-  if (txn_eligible(pte)) {
-    // Transactional engine first; a degraded transaction released its
-    // shadow frame and left the page untouched, so it falls through to the
-    // stop-and-copy pipeline below (the degradation ladder).
-    if (do_migrate_page_txn(t, p, vpn, target, control_kind, copy_kind) ==
-        TxnResult::kCommitted) {
-      r = MigrateResult::kOk;
-    } else {
-      ++kstats_.txn_degraded;
-      trace(t, EventType::kTxnDegraded, vpn, 1, from, target);
-      r = do_migrate_page(t, p, pte, vpn, target, control_cost, control_kind,
-                          copy_kind, copies);
-    }
-  } else {
-    r = do_migrate_page(t, p, pte, vpn, target, control_cost, control_kind,
-                        copy_kind, copies);
-  }
-  // Per-page pipeline latency. Batched callers defer the copy into `copies`,
-  // so their samples cover the control path only (the copy is attributed to
-  // the batch flush); inline callers include it.
-  if (h_migrate_page_ != nullptr) h_migrate_page_->record(t.clock - begin);
+  const MigrateResult r = do_migrate_page(how, p, pte, vpn, target);
+  // Per-page pipeline latency: the time billed for this page. Deferred
+  // copies land in the batch tail, so those samples cover control only.
+  if (h_migrate_page_ != nullptr)
+    h_migrate_page_->record(how.bill.billed() - billed);
   if (!sinks_.empty()) {
     obs::TraceEvent e;
     e.kind = obs::TraceEvent::Kind::kSpan;
     e.ts = begin;
-    e.dur = t.clock - begin;
+    e.dur = how.bill.billed() - billed;
     e.pid = t.pid;
     e.tid = t.tid;
     e.cat = "kern";
@@ -448,17 +417,35 @@ Kernel::MigrateResult Kernel::migrate_page(ThreadCtx& t, Process& p, vm::Pte& pt
   return r;
 }
 
-Kernel::MigrateResult Kernel::do_migrate_page(ThreadCtx& t, Process& p,
+Kernel::MigrateResult Kernel::do_migrate_page(const PageMover& how, Process& p,
                                               vm::Pte& pte, vm::Vpn vpn,
-                                              topo::NodeId target,
-                                              sim::Time control_cost,
-                                              sim::CostKind control_kind,
-                                              sim::CostKind copy_kind,
-                                              CopyBatch* copies) {
-  const mem::FrameId old_frame = pte.frame;
-  const topo::NodeId from = phys_.node_of(old_frame);
+                                              topo::NodeId target) {
+  const PageBill& bill = how.bill;
+  ThreadCtx& t = bill.t;
+  const topo::NodeId from = phys_.node_of(pte.frame);
+  if (how.engine != MigrateEngine::kStopAndCopy && txn_eligible(pte)) {
+    // The transactional engine bills a ThreadCtx, so daemons run it on
+    // their scratch context's clock. A degraded transaction left the page
+    // untouched: it falls through to the stop-and-copy steps below (the
+    // degradation ladder) or stays put.
+    assert(bill.service == nullptr);
+    if (do_migrate_page_txn(t, p, vpn, from, target, how.control_kind,
+                            how.copy_kind) == TxnResult::kCommitted)
+      return MigrateResult::kOk;
+    if (how.engine == MigrateEngine::kDeferOnDegrade)
+      return MigrateResult::kDeferred;
+  }
+  auto charge_control = [&](sim::Time dur) {
+    if (bill.service != nullptr) {
+      *bill.service += dur;
+    } else {
+      charge(t, dur, how.control_kind);
+    }
+  };
 
-  // Isolate→alloc: the destination frame must come from the target node.
+  // Isolate→alloc: the destination frame must come from the target node
+  // (strict __GFP_THISNODE), so a full node degrades this page to ENOMEM
+  // before any copy bandwidth is spent.
   mem::FrameId new_frame = alloc_migration_frame(target);
   if (new_frame == mem::kInvalidFrame && cfg_.tiers.enabled &&
       cfg_.tiers.demotion) {
@@ -466,8 +453,8 @@ Kernel::MigrateResult Kernel::do_migrate_page(ThreadCtx& t, Process& p,
     // pages of `target` down-tier to make room, then retry once. The chain is
     // monotonic down the tier order, so it terminates at the slowest tier.
     if (tier_demote(t, p, target, cfg_.tiers.demote_batch_pages,
-                    /*require_idle=*/false, control_kind) > 0) {
-      charge(t, cost_.demote_direct_stall, control_kind);
+                    /*require_idle=*/false, how.control_kind) > 0) {
+      charge_control(cost_.demote_direct_stall);
       new_frame = alloc_migration_frame(target);
     }
   }
@@ -478,17 +465,23 @@ Kernel::MigrateResult Kernel::do_migrate_page(ThreadCtx& t, Process& p,
   }
 
   // Control path: isolation, PTE rewrite, local flush. The cross-thread
-  // serialization is applied per batch via serialize_migration().
-  charge(t, control_cost, control_kind);
+  // serialization is applied per batch by migration_batch_tail().
+  charge_control(how.control_cost);
 
+  // One copy attempt: chained on the daemon's copy cursor, deferred into
+  // the batch, or charged inline on the payer's clock.
   const topo::NodeId to = phys_.node_of(new_frame);
-  auto charge_one_copy = [&] {
-    if (copies != nullptr) {
-      copies->add(from, to, mem::kPageSize);
+  auto copy_once = [&] {
+    if (bill.copy_cursor != nullptr) {
+      *bill.copy_cursor = hw_.copy(*bill.copy_cursor, from, to, mem::kPageSize,
+                                   cost_.kernel_copy_bytes_per_us)
+                              .finish;
+    } else if (bill.copies != nullptr) {
+      bill.copies->add(from, to, mem::kPageSize);
     } else {
       const sim::Slot c = hw_.copy(t.clock, from, to, mem::kPageSize,
                                    cost_.kernel_copy_bytes_per_us);
-      t.stats.add(copy_kind, c.finish - t.clock);
+      t.stats.add(how.copy_kind, c.finish - t.clock);
       t.clock = c.finish;
     }
   };
@@ -497,30 +490,21 @@ Kernel::MigrateResult Kernel::do_migrate_page(ThreadCtx& t, Process& p,
   // attempt still consumed the copy engine, so it is charged too.
   const CopyOutcome oc = copy_outcome();
   for (unsigned r = 0; r < oc.retries; ++r) {
-    charge_one_copy();
-    charge(t, cost_.copy_backoff(r), control_kind);
+    copy_once();
+    charge_control(cost_.copy_backoff(r));
     ++kstats_.migration_retries;
     trace(t, EventType::kMigrateRetry, vpn, 1, from, to);
   }
+  copy_once();  // the final attempt, whether it succeeds or not
   if (!oc.ok) {
     // Abort + rollback: release the destination frame; the original frame
     // was never unmapped, so the page stays resident and valid.
-    charge_one_copy();  // the final, failed attempt
     phys_.free(new_frame);
     ++kstats_.migrations_failed;
     trace(t, EventType::kMigrateFail, vpn, 1, from, to);
     return MigrateResult::kCopyFail;
   }
-  charge_one_copy();
-
-  if (std::byte* dst = phys_.data(new_frame)) {
-    if (const std::byte* src = phys_.data(old_frame))
-      std::memcpy(dst, src, mem::kPageSize);
-  }
-  phys_.free(old_frame);
-  pte.frame = new_frame;
-  p.placement.move(vpn, from, phys_.node_of(new_frame));
-  stlb_invalidate(p);  // the page changed nodes under any cached descriptor
+  commit_page(p, pte, vpn, new_frame);
   return MigrateResult::kOk;
 }
 
@@ -600,9 +584,9 @@ void Kernel::collapse_replicas(ThreadCtx& t, Process& p, vm::Pte& pte, vm::Vpn v
   // best-effort: under pressure the collapse still succeeds, just without
   // the locality gain.
   if (phys_.node_of(pte.frame) != writer) {
-    migrate_page(t, p, pte, vpn, writer, cost_.nt_fault_control,
-                 sim::CostKind::kReplicaControl, sim::CostKind::kReplicaCopy,
-                 nullptr);
+    migrate_page({{t}, MigrateEngine::kConfigured, cost_.nt_fault_control,
+                  sim::CostKind::kReplicaControl, sim::CostKind::kReplicaCopy},
+                 p, pte, vpn, writer);
   }
   charge(t, shootdown_cost(t), sim::CostKind::kTlbShootdown);
   ++kstats_.tlb_shootdowns;
@@ -705,10 +689,10 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
     const topo::NodeId local = topo_.node_of_core(t.core);
     if (phys_.node_of(pte.frame) != local) {
       const topo::NodeId was = phys_.node_of(pte.frame);
-      if (migrate_page(t, p, pte, vm::vpn_of(addr), local, cost_.nt_fault_control,
-                       sim::CostKind::kNextTouchControl,
-                       sim::CostKind::kNextTouchCopy,
-                       copies) == MigrateResult::kOk) {
+      if (migrate_page({{t, copies}, MigrateEngine::kConfigured,
+                        cost_.nt_fault_control, sim::CostKind::kNextTouchControl,
+                        sim::CostKind::kNextTouchCopy},
+                       p, pte, vm::vpn_of(addr), local) == MigrateResult::kOk) {
         ++res.nexttouch_migrations;
         ++kstats_.pages_migrated_nexttouch;
         trace(t, EventType::kNextTouchMigrate, vm::vpn_of(addr), 1, was, local);
@@ -885,14 +869,9 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
       flush_run);
   flush_run();
 
-  flush_copy_batch(t, copies, sim::CostKind::kNextTouchCopy);
-  if (cfg_.lock_model == LockModel::kRange) {
-    serialize_migration_ranged(t, p, addr, end, entry, res.nexttouch_migrations,
-                               migrate_serial_per_page(cost_.nt_range_serial_per_page));
-  } else {
-    serialize_migration(t, p, entry, res.nexttouch_migrations,
-                        migrate_serial_per_page(cost_.nt_serial_per_page));
-  }
+  migration_batch_tail(t, p, copies, sim::CostKind::kNextTouchCopy, addr, end,
+                       entry, res.nexttouch_migrations, MigrateEngine::kConfigured,
+                       {cost_.nt_serial_per_page, cost_.nt_range_serial_per_page});
   if (!p.numab.pending.empty()) numab_flush_promotions(t, p);
   return res;
 }
@@ -942,16 +921,10 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
                                                         : MemDir::kRead);
     }
   }
-  flush_copy_batch(t, copies, sim::CostKind::kNextTouchCopy);
-  if (cfg_.lock_model == LockModel::kRange) {
-    serialize_migration_ranged(t, p, base,
-                               base + (rows - 1) * stride_bytes + row_bytes,
-                               entry, res.nexttouch_migrations,
-                               migrate_serial_per_page(cost_.nt_range_serial_per_page));
-  } else {
-    serialize_migration(t, p, entry, res.nexttouch_migrations,
-                        migrate_serial_per_page(cost_.nt_serial_per_page));
-  }
+  migration_batch_tail(t, p, copies, sim::CostKind::kNextTouchCopy, base,
+                       base + (rows - 1) * stride_bytes + row_bytes, entry,
+                       res.nexttouch_migrations, MigrateEngine::kConfigured,
+                       {cost_.nt_serial_per_page, cost_.nt_range_serial_per_page});
   if (!p.numab.pending.empty()) numab_flush_promotions(t, p);
   return res;
 }
@@ -1025,11 +998,10 @@ int Kernel::user_memcpy(ThreadCtx& t, vm::Vaddr dst, vm::Vaddr src,
   return 0;
 }
 
-void Kernel::teardown_unmap(Pid pid, vm::Vaddr addr, std::uint64_t len) {
-  if (len == 0) return;
-  Process& p = proc(pid);
-  const vm::Vpn vend = vm::vpn_of(vm::page_align_up(addr + len));
-  auto teardown_run = [&](vm::PageRun run) {
+std::uint64_t Kernel::release_frames(Process& p, vm::Vaddr addr,
+                                     std::uint64_t len) {
+  std::uint64_t released = 0;
+  auto release_run = [&](vm::PageRun run) {
     vm::Vpn vpn = run.first;
     for (vm::Pte& pte : run.ptes) {
       const vm::Vpn v = vpn++;
@@ -1037,9 +1009,20 @@ void Kernel::teardown_unmap(Pid pid, vm::Vaddr addr, std::uint64_t len) {
       for (mem::FrameId f : p.replicas.take(v)) phys_.free(f);
       p.placement.dec(v, phys_.node_of(pte.frame));
       phys_.free(pte.frame);
+      pte = vm::Pte{};
+      ++released;
     }
   };
-  p.as.page_table().for_each_run(vm::vpn_of(addr), vend, teardown_run);
+  p.as.page_table().for_each_run(vm::vpn_of(addr),
+                                 vm::vpn_of(vm::page_align_up(addr + len)),
+                                 release_run);
+  return released;
+}
+
+void Kernel::teardown_unmap(Pid pid, vm::Vaddr addr, std::uint64_t len) {
+  if (len == 0) return;
+  Process& p = proc(pid);
+  release_frames(p, addr, len);
   p.as.unmap(addr, len);
   stlb_invalidate(p);
 }

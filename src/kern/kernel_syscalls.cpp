@@ -20,13 +20,8 @@ vm::Vaddr Kernel::sys_mmap(ThreadCtx& t, std::uint64_t len, vm::Prot prot,
   if (cfg_.lock_model == LockModel::kRange) {
     // Address-space surgery takes the whole-space lock exclusively even in
     // the scalable model — only migrations scale, not mmap itself.
-    const sim::Slot slot = p.mmap_rw.reserve_exclusive(t.clock, cost_.mmap_base);
-    if (slot.start > t.clock) {
-      t.stats.add(sim::CostKind::kLockWait, slot.start - t.clock);
-      note_lock_wait(slot.start - t.clock);
-    }
-    t.stats.add(sim::CostKind::kSyscallEntry, slot.finish - slot.start);
-    t.clock = slot.finish;
+    take_slot(t, p.mmap_rw.reserve_exclusive(t.clock, cost_.mmap_base),
+              sim::CostKind::kSyscallEntry);
   } else {
     charge(t, cost_.mmap_base, sim::CostKind::kSyscallEntry);
   }
@@ -42,33 +37,15 @@ SyscallResult Kernel::sys_munmap(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
     charge(t, cost_.munmap_base, sim::CostKind::kSyscallEntry);
 
   // Free the frames, then drop VMAs + PTEs.
-  std::uint64_t present = 0;
-  const vm::Vpn vend = vm::vpn_of(vm::page_align_up(addr + len));
-  auto free_run = [&](vm::PageRun run) {
-    vm::Vpn vpn = run.first;
-    for (vm::Pte& pte : run.ptes) {
-      const vm::Vpn v = vpn++;
-      if (!pte.present()) continue;
-      for (mem::FrameId f : p.replicas.take(v)) phys_.free(f);
-      p.placement.dec(v, phys_.node_of(pte.frame));
-      phys_.free(pte.frame);
-      ++present;
-    }
-  };
-  p.as.page_table().for_each_run(vm::vpn_of(addr), vend, free_run);
+  const std::uint64_t present = release_frames(p, addr, len);
   p.as.unmap(addr, len);
   stlb_invalidate(p);  // unmap site: cached descriptors may cover freed pages
   if (cfg_.lock_model == LockModel::kRange) {
     // One exclusive whole-space hold covers base + teardown + shootdown.
     const sim::Time work = cost_.munmap_base + cost_.munmap_page * present +
                            shootdown_cost(t);
-    const sim::Slot slot = p.mmap_rw.reserve_exclusive(t.clock, work);
-    if (slot.start > t.clock) {
-      t.stats.add(sim::CostKind::kLockWait, slot.start - t.clock);
-      note_lock_wait(slot.start - t.clock);
-    }
-    t.stats.add(sim::CostKind::kSyscallEntry, slot.finish - slot.start);
-    t.clock = slot.finish;
+    take_slot(t, p.mmap_rw.reserve_exclusive(t.clock, work),
+              sim::CostKind::kSyscallEntry);
   } else {
     charge(t, cost_.munmap_page * present + shootdown_cost(t),
            sim::CostKind::kSyscallEntry);
@@ -124,16 +101,11 @@ SyscallResult Kernel::do_mprotect(ThreadCtx& t, vm::Vaddr addr, std::uint64_t le
                          shootdown_cost(t);
   // Protection changes rewrite VMAs, so the scalable model still takes the
   // whole-space lock exclusively.
-  const sim::Slot slot =
-      cfg_.lock_model == LockModel::kRange
-          ? p.mmap_rw.reserve_exclusive(t.clock, work)
-          : p.mmap_lock.reserve(t.clock, work, t.core, cost_.lock_bounce);
-  if (slot.start > t.clock) {
-    t.stats.add(sim::CostKind::kLockWait, slot.start - t.clock);
-    note_lock_wait(slot.start - t.clock);
-  }
-  t.stats.add(attribute, slot.finish - slot.start);
-  t.clock = slot.finish;
+  take_slot(t,
+            cfg_.lock_model == LockModel::kRange
+                ? p.mmap_rw.reserve_exclusive(t.clock, work)
+                : p.mmap_lock.reserve(t.clock, work, t.core, cost_.lock_bounce),
+            attribute);
   ++kstats_.tlb_shootdowns;
   return 0;
 }
@@ -161,21 +133,7 @@ SyscallResult Kernel::do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
 
     case Advice::kDontNeed: {
       // Drop the pages: the next touch zero-fill-allocates afresh.
-      std::uint64_t dropped = 0;
-      const vm::Vpn vend = vm::vpn_of(vm::page_align_up(addr + len));
-      auto drop_run = [&](vm::PageRun run) {
-        vm::Vpn vpn = run.first;
-        for (vm::Pte& pte : run.ptes) {
-          const vm::Vpn v = vpn++;
-          if (!pte.present()) continue;
-          for (mem::FrameId f : p.replicas.take(v)) phys_.free(f);
-          p.placement.dec(v, phys_.node_of(pte.frame));
-          phys_.free(pte.frame);
-          pte = vm::Pte{};
-          ++dropped;
-        }
-      };
-      p.as.page_table().for_each_run(vm::vpn_of(addr), vend, drop_run);
+      const std::uint64_t dropped = release_frames(p, addr, len);
       stlb_invalidate(p);  // remap site: PTEs dropped to not-present
       const sim::Time work = cost_.madvise_base + cost_.page_free * dropped +
                              shootdown_cost(t);
@@ -185,7 +143,7 @@ SyscallResult Kernel::do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
     }
 
     case Advice::kReplicate: {
-      if (!replication_) return -kENOSYS;
+      if (!cfg_.replication) return -kENOSYS;
       if (const vm::Vma* v = p.as.find(addr); v != nullptr && v->huge)
         return -kEINVAL;
       // Arm: clear the write bit so writes collapse; reads repopulate per
@@ -248,12 +206,7 @@ SyscallResult Kernel::do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
       } else {
         slot = p.mmap_lock.reserve(t.clock, work, t.core, cost_.lock_bounce);
       }
-      if (slot.start > t.clock) {
-        t.stats.add(sim::CostKind::kLockWait, slot.start - t.clock);
-        note_lock_wait(slot.start - t.clock);
-      }
-      t.stats.add(sim::CostKind::kMadvise, slot.finish - slot.start);
-      t.clock = slot.finish;
+      take_slot(t, slot, sim::CostKind::kMadvise);
       ++kstats_.tlb_shootdowns;
       return 0;
     }
@@ -283,6 +236,10 @@ SyscallResult Kernel::do_mbind(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
   // MPOL_MF_MOVE: migrate already-present pages that violate the policy.
   const sim::Time entry = t.clock;
   CopyBatch copies;
+  const PageMover mover{{t, &copies}, MigrateEngine::kConfigured,
+                        cost_.move_pages_range_page_control,
+                        sim::CostKind::kMovePagesControl,
+                        sim::CostKind::kMovePagesCopy};
   std::uint64_t moved = 0;
   const vm::Vpn vend = vm::vpn_of(vm::page_align_up(addr + len));
   const vm::Vma* vma = nullptr;  // cached across the walk
@@ -296,24 +253,17 @@ SyscallResult Kernel::do_mbind(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
       const topo::NodeId want = policy.target_node(
           vma->pgoff(v), phys_.node_of(pte.frame), topo_.num_nodes());
       if (want == topo::kInvalidNode || want == phys_.node_of(pte.frame)) continue;
-      if (migrate_page(t, p, pte, v, want, cost_.move_pages_range_page_control,
-                       sim::CostKind::kMovePagesControl,
-                       sim::CostKind::kMovePagesCopy,
-                       &copies) == MigrateResult::kOk) {
+      if (migrate_page(mover, p, pte, v, want) == MigrateResult::kOk) {
         ++moved;
         ++kstats_.pages_migrated_move;
       }
     }
   };
   p.as.page_table().for_each_run(vm::vpn_of(addr), vend, move_run);
-  flush_copy_batch(t, copies, sim::CostKind::kMovePagesCopy);
-  if (cfg_.lock_model == LockModel::kRange) {
-    serialize_migration_ranged(t, p, addr, addr + len, entry, moved,
-                               migrate_serial_per_page(cost_.range_serial_per_page));
-  } else {
-    serialize_migration(t, p, entry, moved,
-                        migrate_serial_per_page(cost_.move_pages_serial_per_page));
-  }
+  migration_batch_tail(
+      t, p, copies, sim::CostKind::kMovePagesCopy, addr, addr + len, entry,
+      moved, MigrateEngine::kConfigured,
+      {cost_.move_pages_serial_per_page, cost_.range_serial_per_page});
   return 0;
 }
 
@@ -351,17 +301,12 @@ void Kernel::move_pages_enter(ThreadCtx& t, std::size_t total_pages) {
   // Scalable model: migrations only *read* the VMA tree, so mmap_sem is taken
   // shared — concurrent move_pages callers overlap here and serialize (if at
   // all) on the per-VMA range locks instead.
-  const sim::Slot slot =
-      cfg_.lock_model == LockModel::kRange
-          ? p.mmap_rw.reserve_shared(t.clock, cost_.move_pages_base_locked)
-          : p.mmap_lock.reserve(t.clock, cost_.move_pages_base_locked, t.core,
-                                cost_.lock_bounce);
-  if (slot.start > t.clock) {
-    t.stats.add(sim::CostKind::kLockWait, slot.start - t.clock);
-    note_lock_wait(slot.start - t.clock);
-  }
-  t.stats.add(sim::CostKind::kMovePagesControl, slot.finish - slot.start);
-  t.clock = slot.finish;
+  take_slot(t,
+            cfg_.lock_model == LockModel::kRange
+                ? p.mmap_rw.reserve_shared(t.clock, cost_.move_pages_base_locked)
+                : p.mmap_lock.reserve(t.clock, cost_.move_pages_base_locked,
+                                      t.core, cost_.lock_bounce),
+            sim::CostKind::kMovePagesControl);
 }
 
 void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
@@ -376,7 +321,7 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
   // The unpatched implementation additionally scans the whole request array
   // once per page — the quadratic behaviour of Fig. 4.
   sim::Time unlocked = cost_.move_pages_page_control - cost_.move_pages_page_locked;
-  if (move_impl_ == MovePagesImpl::kQuadratic) {
+  if (cfg_.move_pages_impl == MovePagesImpl::kQuadratic) {
     unlocked += static_cast<sim::Time>(cost_.quadratic_scan_ns_per_slot *
                                        static_cast<double>(request_total));
   }
@@ -386,9 +331,6 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
     vm::Pte* pte;  // resolved once; entries are chunk-stable for the table's life
     topo::NodeId from;
     topo::NodeId to;
-    mem::FrameId nf = mem::kInvalidFrame;  // destination frame (post-alloc)
-    unsigned copy_retries = 0;
-    bool copy_ok = true;
   };
   std::vector<Move> moves;
   moves.reserve(chunk.size());
@@ -437,137 +379,46 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
     // chunks over disjoint VMAs overlap instead of convoying on mmap_sem.
     charge(t, unlocked_total, sim::CostKind::kMovePagesControl);
     if (locked_total > 0) {
-      const sim::Slot slot = range_lock_reserve(t, p, span_lo, span_hi, t.clock,
-                                                locked_total, /*exclusive=*/true);
-      if (slot.start > t.clock) {
-        t.stats.add(sim::CostKind::kLockWait, slot.start - t.clock);
-        note_lock_wait(slot.start - t.clock);
-      }
-      t.stats.add(sim::CostKind::kMovePagesControl, slot.finish - slot.start);
-      t.clock = slot.finish;
+      take_slot(t,
+                range_lock_reserve(t, p, span_lo, span_hi, t.clock, locked_total,
+                                   /*exclusive=*/true),
+                sim::CostKind::kMovePagesControl);
     }
   } else {
     charge(t, unlocked_total + locked_total, sim::CostKind::kMovePagesControl);
   }
 
-  if (!query_only && cfg_.migration_mode == MigrationMode::kTransactional) {
-    // Transactional engine: each page runs its own shadow-copy transaction,
-    // with the copies outside any critical section. A degraded transaction
-    // falls back to stop-and-copy inside migrate_page, so a retry-exhausted
-    // or faulted page surfaces as its own per-page status — never as a
-    // batch failure.
-    for (const Move& m : moves) {
-      const vm::Vpn vpn = vm::vpn_of(chunk[m.i]);
-      vm::Pte* pte = m.pte;
-      switch (migrate_page(t, p, *pte, vpn, m.to, 0,
-                           sim::CostKind::kMovePagesControl,
-                           sim::CostKind::kMovePagesCopy, nullptr)) {
-        case MigrateResult::kOk:
-          pte->clear(vm::Pte::kNextTouch);
-          status[m.i] = static_cast<int>(phys_.node_of(pte->frame));
-          ++kstats_.pages_migrated_move;
-          break;
-        case MigrateResult::kNoMem:
-          status[m.i] = -kENOMEM;
-          break;
-        case MigrateResult::kCopyFail:
-          status[m.i] = -kEAGAIN;
-          break;
-      }
-    }
-  } else {
-  // Isolate→alloc: destination frames come strictly from the requested node
-  // (as Linux's new_page_node with __GFP_THISNODE). A failed allocation
-  // degrades this page to -ENOMEM *before* any copy bandwidth is spent; the
-  // already-isolated page simply stays mapped on its source node.
-  for (Move& m : moves) {
-    m.nf = alloc_migration_frame(m.to);
-    if (m.nf == mem::kInvalidFrame && cfg_.tiers.enabled && cfg_.tiers.demotion) {
-      // Direct demotion (tiering): evict pages of the full destination node
-      // down-tier, then retry once — move_pages into the fast tier degrades
-      // to -ENOMEM only when no lower tier has room either.
-      if (tier_demote(t, p, m.to, cfg_.tiers.demote_batch_pages,
-                      /*require_idle=*/false,
-                      sim::CostKind::kMovePagesControl) > 0) {
-        charge(t, cost_.demote_direct_stall, sim::CostKind::kMovePagesControl);
-        m.nf = alloc_migration_frame(m.to);
-      }
-    }
-    if (m.nf == mem::kInvalidFrame) {
-      status[m.i] = -kENOMEM;
-      ++kstats_.migrations_failed;
-      trace(t, EventType::kMigrateFail, vm::vpn_of(chunk[m.i]), 1, m.from, m.to);
-    } else {
-      const CopyOutcome oc = copy_outcome();
-      m.copy_retries = oc.retries;
-      m.copy_ok = oc.ok;
-    }
-  }
-
-  // Copies happen outside the lock; coalesce same-route neighbours so the
-  // hardware model sees streams, not 4 KiB droplets. Retried attempts
-  // consumed the engine too, so each page contributes (retries+1) copies.
-  std::size_t i = 0;
-  while (i < moves.size()) {
-    std::size_t j = i;
-    std::uint64_t bytes = 0;
-    while (j < moves.size() && moves[j].from == moves[i].from &&
-           moves[j].to == moves[i].to) {
-      if (moves[j].nf != mem::kInvalidFrame)
-        bytes += (moves[j].copy_retries + 1ull) * mem::kPageSize;
-      ++j;
-    }
-    if (bytes != 0) {
-      const sim::Slot c = hw_.copy(t.clock, moves[i].from, moves[i].to, bytes,
-                                   cost_.kernel_copy_bytes_per_us);
-      t.stats.add(sim::CostKind::kMovePagesCopy, c.finish - t.clock);
-      t.clock = c.finish;
-    }
-    i = j;
-  }
-
+  // Each page runs the pipeline on its own, so a failed allocation or copy
+  // surfaces as that page's status — never as a batch failure. Copies are
+  // deferred and coalesced per route, so the hardware model sees streams,
+  // not 4 KiB droplets; the control share was charged above.
+  CopyBatch copies;
+  const PageMover mover{{t, &copies}, MigrateEngine::kConfigured, 0,
+                        sim::CostKind::kMovePagesControl,
+                        sim::CostKind::kMovePagesCopy};
   for (const Move& m : moves) {
-    if (m.nf == mem::kInvalidFrame) continue;  // degraded to -ENOMEM above
-    vm::Pte* pte = m.pte;
-    for (unsigned r = 0; r < m.copy_retries; ++r) {
-      charge(t, cost_.copy_backoff(r), sim::CostKind::kMovePagesControl);
-      ++kstats_.migration_retries;
-      trace(t, EventType::kMigrateRetry, vm::vpn_of(chunk[m.i]), 1, m.from, m.to);
+    switch (migrate_page(mover, p, *m.pte, vm::vpn_of(chunk[m.i]), m.to)) {
+      case MigrateResult::kOk:
+        m.pte->clear(vm::Pte::kNextTouch);
+        status[m.i] = static_cast<int>(phys_.node_of(m.pte->frame));
+        ++kstats_.pages_migrated_move;
+        break;
+      case MigrateResult::kNoMem:
+        status[m.i] = -kENOMEM;
+        break;
+      case MigrateResult::kCopyFail:
+      case MigrateResult::kDeferred:
+        status[m.i] = -kEAGAIN;
+        break;
     }
-    if (!m.copy_ok) {
-      // Permanent copy failure: roll back — free the destination frame and
-      // leave the original mapping untouched (Linux: -EAGAIN after the
-      // migrate_pages retry loop gives up).
-      phys_.free(m.nf);
-      status[m.i] = -kEAGAIN;
-      ++kstats_.migrations_failed;
-      trace(t, EventType::kMigrateFail, vm::vpn_of(chunk[m.i]), 1, m.from, m.to);
-      continue;
-    }
-    if (std::byte* dst = phys_.data(m.nf)) {
-      if (const std::byte* src = phys_.data(pte->frame))
-        std::copy_n(src, mem::kPageSize, dst);
-    }
-    const topo::NodeId pfrom = phys_.node_of(pte->frame);
-    phys_.free(pte->frame);
-    pte->frame = m.nf;
-    p.placement.move(vm::vpn_of(chunk[m.i]), pfrom, phys_.node_of(m.nf));
-    pte->clear(vm::Pte::kNextTouch);
-    status[m.i] = static_cast<int>(phys_.node_of(m.nf));
-    ++kstats_.pages_migrated_move;
   }
-  }  // stop-and-copy path
+  migration_batch_tail(
+      t, p, copies, sim::CostKind::kMovePagesCopy, span_lo, span_hi, entry,
+      moves.size(), MigrateEngine::kConfigured,
+      {cost_.move_pages_serial_per_page, cost_.range_serial_per_page});
   if (!moves.empty()) {
-    stlb_invalidate(p);  // migrate site: stop-and-copy commits flip frames here
     trace(t, EventType::kMovePages, vm::vpn_of(chunk[moves.front().i]), moves.size(),
           moves.front().from, moves.front().to);
-  }
-  if (cfg_.lock_model == LockModel::kRange) {
-    serialize_migration_ranged(t, p, span_lo, span_hi, entry, moves.size(),
-                               migrate_serial_per_page(cost_.range_serial_per_page));
-  } else {
-    serialize_migration(t, p, entry, moves.size(),
-                        migrate_serial_per_page(cost_.move_pages_serial_per_page));
   }
   if (!sinks_.empty()) {
     obs::TraceEvent e;
@@ -621,17 +472,12 @@ SyscallResult Kernel::do_move_pages_ranged(ThreadCtx& t,
   Process& p = proc(t.pid);
   charge(t, cost_.syscall_entry, sim::CostKind::kSyscallEntry);
   // One (cheaper) base: argument copy-in is O(ranges), not O(pages).
-  const sim::Slot base =
-      cfg_.lock_model == LockModel::kRange
-          ? p.mmap_rw.reserve_shared(t.clock, cost_.move_pages_range_base)
-          : p.mmap_lock.reserve(t.clock, cost_.move_pages_range_base, t.core,
-                                cost_.lock_bounce);
-  if (base.start > t.clock) {
-    t.stats.add(sim::CostKind::kLockWait, base.start - t.clock);
-    note_lock_wait(base.start - t.clock);
-  }
-  t.stats.add(sim::CostKind::kMovePagesControl, base.finish - base.start);
-  t.clock = base.finish;
+  take_slot(t,
+            cfg_.lock_model == LockModel::kRange
+                ? p.mmap_rw.reserve_shared(t.clock, cost_.move_pages_range_base)
+                : p.mmap_lock.reserve(t.clock, cost_.move_pages_range_base,
+                                      t.core, cost_.lock_bounce),
+            sim::CostKind::kMovePagesControl);
 
   long moved = 0;
   for (const MoveRange& r : ranges) {
@@ -641,6 +487,9 @@ SyscallResult Kernel::do_move_pages_ranged(ThreadCtx& t,
 
     const sim::Time entry = t.clock;
     CopyBatch copies;
+    const PageMover mover{{t, &copies}, MigrateEngine::kConfigured, 0,
+                          sim::CostKind::kMovePagesControl,
+                          sim::CostKind::kMovePagesCopy};
     std::uint64_t batch_moved = 0;
     const vm::Vpn vend = vm::vpn_of(vm::page_align_up(r.addr + r.len));
     auto range_run = [&](vm::PageRun run) {
@@ -651,25 +500,17 @@ SyscallResult Kernel::do_move_pages_ranged(ThreadCtx& t,
         charge(t, cost_.move_pages_range_page_control,
                sim::CostKind::kMovePagesControl);
         if (phys_.node_of(pte.frame) == r.node) continue;
-        if (migrate_page(t, p, pte, v, r.node, 0,
-                         sim::CostKind::kMovePagesControl,
-                         sim::CostKind::kMovePagesCopy,
-                         &copies) == MigrateResult::kOk) {
+        if (migrate_page(mover, p, pte, v, r.node) == MigrateResult::kOk) {
           ++batch_moved;
           ++kstats_.pages_migrated_move;
         }
       }
     };
     p.as.page_table().for_each_run(vm::vpn_of(r.addr), vend, range_run);
-    flush_copy_batch(t, copies, sim::CostKind::kMovePagesCopy);
-    if (cfg_.lock_model == LockModel::kRange) {
-      serialize_migration_ranged(t, p, r.addr, r.addr + r.len, entry,
-                                 batch_moved,
-                                 migrate_serial_per_page(cost_.range_serial_per_page));
-    } else {
-      serialize_migration(t, p, entry, batch_moved,
-                          migrate_serial_per_page(cost_.move_pages_serial_per_page));
-    }
+    migration_batch_tail(
+        t, p, copies, sim::CostKind::kMovePagesCopy, r.addr, r.addr + r.len,
+        entry, batch_moved, MigrateEngine::kConfigured,
+        {cost_.move_pages_serial_per_page, cost_.range_serial_per_page});
     moved += static_cast<long>(batch_moved);
     if (tracing() && batch_moved > 0)
       trace(t, EventType::kMovePages, vm::vpn_of(r.addr), batch_moved,
@@ -723,88 +564,25 @@ SyscallResult Kernel::do_migrate_pages(ThreadCtx& t, Pid target,
     const sim::Time entry = t.clock;
     charge(t, cost_.migrate_pages_page_locked * batch.size(),
            sim::CostKind::kMigratePagesControl);
-
-    // Destination allocation first (strict node): pages whose node is
-    // exhausted degrade before any copy bandwidth is spent and simply stay
-    // where they are (they are not counted as migrated).
-    struct Item {
-      vm::Vpn vpn;
-      vm::Pte* pte;
-      topo::NodeId from;
-      topo::NodeId dest;
-      mem::FrameId nf;
-      unsigned copy_retries = 0;
-      bool copy_ok = true;
-    };
-    std::vector<Item> items;
-    items.reserve(batch.size());
+    // Pages whose destination node is exhausted (or whose copy fails)
+    // degrade per page and simply stay where they are; they are not counted
+    // as migrated.
+    CopyBatch copies;
+    const PageMover mover{{t, &copies}, MigrateEngine::kStopAndCopy, 0,
+                          sim::CostKind::kMigratePagesControl,
+                          sim::CostKind::kMigratePagesCopy};
     for (const Pending& b : batch) {
-      Item it{b.vpn, b.pte, phys_.node_of(b.pte->frame), b.dest,
-              alloc_migration_frame(b.dest)};
-      if (it.nf == mem::kInvalidFrame) {
-        ++kstats_.migrations_failed;
-        trace(t, EventType::kMigrateFail, b.vpn, 1, it.from, b.dest);
-      } else {
-        const CopyOutcome oc = copy_outcome();
-        it.copy_retries = oc.retries;
-        it.copy_ok = oc.ok;
+      if (migrate_page(mover, p, *b.pte, b.vpn, b.dest) == MigrateResult::kOk) {
+        ++migrated;
+        ++kstats_.pages_migrated_process;
       }
-      items.push_back(it);
     }
-
-    std::size_t i = 0;
-    while (i < items.size()) {
-      std::size_t j = i;
-      std::uint64_t bytes = 0;
-      while (j < items.size() && items[j].from == items[i].from &&
-             items[j].dest == items[i].dest) {
-        if (items[j].nf != mem::kInvalidFrame)
-          bytes += (items[j].copy_retries + 1ull) * mem::kPageSize;
-        ++j;
-      }
-      if (bytes != 0) {
-        const sim::Slot c = hw_.copy(t.clock, items[i].from, items[i].dest,
-                                     bytes, cost_.kernel_copy_bytes_per_us);
-        t.stats.add(sim::CostKind::kMigratePagesCopy, c.finish - t.clock);
-        t.clock = c.finish;
-      }
-      i = j;
-    }
-
-    for (const Item& it : items) {
-      if (it.nf == mem::kInvalidFrame) continue;
-      for (unsigned r = 0; r < it.copy_retries; ++r) {
-        charge(t, cost_.copy_backoff(r), sim::CostKind::kMigratePagesControl);
-        ++kstats_.migration_retries;
-        trace(t, EventType::kMigrateRetry, it.vpn, 1, it.from, it.dest);
-      }
-      if (!it.copy_ok) {
-        phys_.free(it.nf);  // rollback: original mapping untouched
-        ++kstats_.migrations_failed;
-        trace(t, EventType::kMigrateFail, it.vpn, 1, it.from, it.dest);
-        continue;
-      }
-      vm::Pte* pte = it.pte;
-      if (std::byte* dst = phys_.data(it.nf)) {
-        if (const std::byte* src = phys_.data(pte->frame))
-          std::copy_n(src, mem::kPageSize, dst);
-      }
-      const topo::NodeId pfrom = phys_.node_of(pte->frame);
-      phys_.free(pte->frame);
-      pte->frame = it.nf;
-      p.placement.move(it.vpn, pfrom, phys_.node_of(it.nf));
-      ++migrated;
-      ++kstats_.pages_migrated_process;
-    }
-    stlb_invalidate(p);  // migrate site: batch commit flipped frames above
-    if (cfg_.lock_model == LockModel::kRange) {
-      serialize_migration_ranged(t, p, vm::addr_of(batch.front().vpn),
-                                 vm::addr_of(batch.back().vpn) + mem::kPageSize,
-                                 entry, batch.size(), cost_.range_serial_per_page);
-    } else {
-      serialize_migration(t, p, entry, batch.size(),
-                          cost_.migrate_pages_serial_per_page);
-    }
+    migration_batch_tail(
+        t, p, copies, sim::CostKind::kMigratePagesCopy,
+        vm::addr_of(batch.front().vpn),
+        vm::addr_of(batch.back().vpn) + mem::kPageSize, entry, batch.size(),
+        MigrateEngine::kStopAndCopy,
+        {cost_.migrate_pages_serial_per_page, cost_.range_serial_per_page});
     batch.clear();
   };
 

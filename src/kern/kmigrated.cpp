@@ -2,7 +2,6 @@
 // submission, execution on the daemon timelines, draining, and the
 // next-touch migrate-ahead window.
 #include <algorithm>
-#include <cstring>
 
 #include "kern/kernel.hpp"
 
@@ -40,7 +39,7 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
                                              vm::Vaddr addr, std::uint64_t len,
                                              topo::NodeId node,
                                              sim::Time submit,
-                                             bool defer_on_degrade) {
+                                             MigrateEngine engine) {
   if (kmig_now_ < submit) kmig_now_ = submit;
   const std::uint64_t npages =
       vm::vpn_of(vm::page_align_up(addr + len)) - vm::vpn_of(addr);
@@ -62,19 +61,25 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
 
   // Page-table mutations are applied eagerly (the simulation has no host
   // concurrency to race with), but every nanosecond is charged to the
-  // daemon's slot — the submitter's clock never moves here.
+  // daemon's slot — the submitter's clock never moves here. The daemon runs
+  // on a scratch context `dt` whose stats are discarded. The transactional
+  // engine bills it inline, so its clock is the batch slot. Stop-and-copy
+  // instead pipelines the control work (`service`) against per-page copies
+  // chained on `copy_cursor`; `dt` then only hosts nested direct demotion,
+  // whose clock the batch's busy time does not count.
+  const bool txn = cfg_.migration_mode == MigrationMode::kTransactional;
   sim::Time service = cost_.kmigrated_batch_base;
   sim::Time copy_cursor = start;
-  std::uint64_t moved = 0;
-  // Daemon execution context for the transactional engine: TxnMigrator bills
-  // a ThreadCtx, so the daemon gets a scratch one whose clock is the batch
-  // slot. Its stats are discarded — nothing here bills the submitter.
-  const bool txn = cfg_.migration_mode == MigrationMode::kTransactional;
   ThreadCtx dt;
   dt.tid = t.tid;
   dt.pid = p.pid;
   dt.core = t.core;
   dt.clock = start + cost_.kmigrated_batch_base;
+  const PageMover mover{
+      txn ? PageBill{dt} : PageBill{dt, nullptr, &service, &copy_cursor},
+      engine, cost_.move_pages_range_page_control,
+      sim::CostKind::kMovePagesControl, sim::CostKind::kMovePagesCopy};
+  std::uint64_t moved = 0;
   const vm::Vpn vend = vm::vpn_of(vm::page_align_up(addr + len));
   // Run-batched walk: one chunk lookup per 512 pages; pages without an
   // established chunk cannot be present and are skipped wholesale. The VMA
@@ -83,74 +88,20 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
   const vm::Vma* nt_vma = nullptr;
   auto batch_run = [&](vm::PageRun run) {
     vm::Vpn vpn = run.first - 1;
-    for (vm::Pte& run_pte : run.ptes) {
+    for (vm::Pte& pte : run.ptes) {
       ++vpn;
-      vm::Pte* pte = &run_pte;
-      if (!pte->present() || (pte->flags & vm::Pte::kHuge))
-        continue;
-      const bool was_nt = pte->next_touch();
-      const topo::NodeId from = phys_.node_of(pte->frame);
-      if (from != node && txn) {
-        if (do_migrate_page_txn(dt, p, vpn, node,
-                                sim::CostKind::kMovePagesControl,
-                                sim::CostKind::kMovePagesCopy) ==
-            TxnResult::kCommitted) {
+      if (!pte.present() || (pte.flags & vm::Pte::kHuge)) continue;
+      const bool was_nt = pte.next_touch();
+      if (phys_.node_of(pte.frame) != node) {
+        const MigrateResult r = migrate_page(mover, p, pte, vpn, node);
+        if (r == MigrateResult::kDeferred) continue;  // left for a later pass
+        if (r == MigrateResult::kOk) {
           ++moved;
           ++kstats_.kmigrated_pages;
         } else {
-          ++kstats_.txn_degraded;
-          trace(dt, EventType::kTxnDegraded, vpn, 1, from, node);
-          if (defer_on_degrade) continue;  // left in place for a later pass
-          switch (do_migrate_page(dt, p, *pte, vpn, node,
-                                  cost_.move_pages_range_page_control,
-                                  sim::CostKind::kMovePagesControl,
-                                  sim::CostKind::kMovePagesCopy, nullptr)) {
-            case MigrateResult::kOk:
-              ++moved;
-              ++kstats_.kmigrated_pages;
-              break;
-            case MigrateResult::kNoMem:
-            case MigrateResult::kCopyFail:
-              // do_migrate_page already counted migrations_failed + traced.
-              ++kstats_.kmigrated_pages_failed;
-              break;
-          }
-        }
-      } else if (from != node) {
-        mem::FrameId nf = alloc_migration_frame(node);
-        if (nf == mem::kInvalidFrame && cfg_.tiers.enabled && cfg_.tiers.demotion) {
-          // Direct demotion (tiering): the daemon evicts pages of the full
-          // destination node down-tier and retries once, so an up-tier batch
-          // degrades to per-page ENOMEM only when every lower tier is full
-          // too. Demotion work bills the daemon (dt / service), never the
-          // submitter.
-          if (tier_demote(dt, p, node, cfg_.tiers.demote_batch_pages,
-                          /*require_idle=*/false,
-                          sim::CostKind::kMovePagesControl) > 0) {
-            service += cost_.demote_direct_stall;
-            nf = alloc_migration_frame(node);
-          }
-        }
-        if (nf == mem::kInvalidFrame) {
-          // Per-page ENOMEM degrades just this page; the original mapping is
-          // untouched, so there is nothing to roll back.
+          // Per-page ENOMEM or copy failure degrades just this page; the
+          // pipeline already rolled it back and counted migrations_failed.
           ++kstats_.kmigrated_pages_failed;
-          ++kstats_.migrations_failed;
-          trace(t, EventType::kMigrateFail, vpn, 1, from, node);
-        } else {
-          service += cost_.move_pages_range_page_control;
-          const sim::Slot c = hw_.copy(copy_cursor, from, node, mem::kPageSize,
-                                       cost_.kernel_copy_bytes_per_us);
-          copy_cursor = c.finish;
-          if (std::byte* dst = phys_.data(nf)) {
-            if (const std::byte* src = phys_.data(pte->frame))
-              std::memcpy(dst, src, mem::kPageSize);
-          }
-          phys_.free(pte->frame);
-          pte->frame = nf;
-          p.placement.move(vpn, from, phys_.node_of(nf));
-          ++moved;
-          ++kstats_.kmigrated_pages;
         }
       }
       if (was_nt) {
@@ -159,22 +110,19 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
         if (nt_vma == nullptr || !nt_vma->contains(vm::addr_of(vpn)))
           nt_vma = p.as.find(vm::addr_of(vpn));
         if (nt_vma != nullptr) {
-          pte->clear(vm::Pte::kNextTouch);
-          pte->set(vm::Pte::kAccessed);
-          pte->restore_hw(nt_vma->prot);
+          pte.clear(vm::Pte::kNextTouch);
+          pte.set(vm::Pte::kAccessed);
+          pte.restore_hw(nt_vma->prot);
         }
       }
     }
   };
   p.as.page_table().for_each_run(vm::vpn_of(addr), vend, batch_run);
   if (moved > 0) {
-    // Migrate site: the stop-and-copy arm flips frames inline above (the
-    // txn arm already bumped per commit). The next-touch resolution alone
-    // needs no bump — NT pages cannot sit under a current-generation
-    // descriptor, since arming them bumped the generation.
-    stlb_invalidate(p);
-    // One coalesced shootdown round for the whole batch. (Each transactional
-    // commit only flushed locally; the remote round lands here.)
+    // One coalesced shootdown round for the whole batch (each commit only
+    // flushed locally; the remote round lands here). The next-touch
+    // resolution needs no soft-TLB bump — NT pages cannot sit under a
+    // current-generation descriptor, since arming them bumped the generation.
     const sim::Time round = cost_.tlb_shootdown_round(topo_.num_cores(), moved);
     if (txn) dt.clock += round;
     else service += round;
@@ -207,12 +155,8 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
 void Kernel::kmigrated_drain(ThreadCtx& t) {
   if (kmig_now_ < t.clock) kmig_now_ = t.clock;
   const sim::Time done = kmigrated_.drained_at();
-  if (done > t.clock) {
-    t.stats.add(sim::CostKind::kLockWait, done - t.clock);
-    note_lock_wait(done - t.clock);
-    t.clock = done;
-    kmig_now_ = done;
-  }
+  if (done > t.clock) kmig_now_ = done;
+  wait_until(t, done);
 }
 
 void Kernel::nt_migrate_ahead(ThreadCtx& t, Process& p, const vm::Vma& vma,

@@ -238,7 +238,7 @@ void Kernel::numab_flush_promotions(ThreadCtx& t, Process& p) {
     const std::uint64_t moved =
         submit_kmigrated_batch(t, p, vm::addr_of(first),
                                npages * mem::kPageSize, target, t.clock,
-                               /*defer_on_degrade=*/true);
+                               MigrateEngine::kDeferOnDegrade);
     kstats_.numab_pages_promoted += moved;
     if (moved > 0 && from != topo::kInvalidNode &&
         topo_.tier_of(target) < topo_.tier_of(from)) {

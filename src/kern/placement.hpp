@@ -59,8 +59,13 @@ class PlacementCounts {
     // One-entry cache: faults and migrations sweep pages in order, so the
     // same chunk row is hit hundreds of times in a row. Row storage lives in
     // map nodes (address-stable across rehash) and is sized exactly once, so
-    // the cached data pointer stays valid.
+    // the cached data pointer stays valid. The miss path is a separate
+    // function so the hit path stays small enough to inline into the
+    // per-page commit.
     if (key == cached_key_ && cached_row_ != nullptr) return cached_row_;
+    return fill_row(key);
+  }
+  std::uint32_t* fill_row(std::uint64_t key) {
     std::vector<std::uint32_t>& r = rows_[key];
     if (r.empty()) r.assign(nodes_, 0);
     cached_key_ = key;

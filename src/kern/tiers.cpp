@@ -118,8 +118,9 @@ std::uint64_t Kernel::tier_demote(ThreadCtx& t, Process& p, topo::NodeId node,
 
   // Coalesce contiguous victims and push each run through kmigrated. The
   // batch honors watermarks and fault injection like every migration path;
-  // degraded transactional pages are stop-and-copied by the daemon
-  // (defer_on_degrade=false) because demotion must actually free frames.
+  // degraded transactional pages are stop-and-copied by the daemon (the
+  // configured engine, never kDeferOnDegrade) because demotion must
+  // actually free frames.
   std::uint64_t demoted = 0;
   std::size_t i = 0;
   while (i < victims.size()) {
@@ -130,8 +131,7 @@ std::uint64_t Kernel::tier_demote(ThreadCtx& t, Process& p, topo::NodeId node,
     charge(t, cost_.demote_submit, kind);
     trace(t, EventType::kTierDemote, first, npages, node, target);
     demoted += submit_kmigrated_batch(t, p, vm::addr_of(first),
-                                      npages * mem::kPageSize, target, t.clock,
-                                      /*defer_on_degrade=*/false);
+                                      npages * mem::kPageSize, target, t.clock);
     // Soft-TLB note: the page moves themselves bumped mapping_gen inside
     // submit_kmigrated_batch; the hysteresis reset below touches only
     // numa_last/numa_idle (no mapping, flag, or permission change), so no

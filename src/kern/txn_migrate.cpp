@@ -2,8 +2,6 @@
 // Kernel::do_migrate_page_txn, the one-call driver the migration paths use.
 #include "kern/txn_migrate.hpp"
 
-#include <cstring>
-
 #include "kern/kernel.hpp"
 
 namespace numasim::kern {
@@ -135,18 +133,11 @@ void TxnMigrator::do_commit(ThreadCtx& t) {
   }
   k_.charge(t, k_.cost_.txn_commit, control_kind_);
   const topo::NodeId from = k_.phys_.node_of(pte->frame);
-  if (std::byte* dst = k_.phys_.data(shadow_)) {
-    if (const std::byte* src = k_.phys_.data(pte->frame))
-      std::memcpy(dst, src, mem::kPageSize);
-  }
-  k_.phys_.free(pte->frame);
   k_.phys_.clear_shadow(shadow_);
-  pte->frame = shadow_;
-  k_.proc(pid_).placement.move(vpn_, from, k_.phys_.node_of(shadow_));
+  k_.commit_page(k_.proc(pid_), *pte, vpn_, shadow_);
   shadow_ = mem::kInvalidFrame;
   pte->clear(vm::Pte::kTxn | vm::Pte::kHwRead | vm::Pte::kHwWrite);
   pte->set(hw_bits_);
-  k_.stlb_invalidate(k_.proc(pid_));  // migrate site: frame flipped above
   ++k_.kstats_.txn_commits;
   if (k_.h_txn_retries_ != nullptr) k_.h_txn_retries_->record(retries_);
   k_.trace(t, EventType::kTxnCommit, vpn_, 1, from, target_);
@@ -207,7 +198,8 @@ TxnState TxnMigrator::run(ThreadCtx& t) {
 }
 
 Kernel::TxnResult Kernel::do_migrate_page_txn(ThreadCtx& t, Process& p,
-                                              vm::Vpn vpn, topo::NodeId target,
+                                              vm::Vpn vpn, topo::NodeId from,
+                                              topo::NodeId target,
                                               sim::CostKind control_kind,
                                               sim::CostKind copy_kind) {
   const sim::Time begin = t.clock;
@@ -228,8 +220,10 @@ Kernel::TxnResult Kernel::do_migrate_page_txn(ThreadCtx& t, Process& p,
         .add_arg("committed", end == TxnState::kCommitted ? 1 : 0);
     emit(e);
   }
-  return end == TxnState::kCommitted ? TxnResult::kCommitted
-                                     : TxnResult::kDegraded;
+  if (end == TxnState::kCommitted) return TxnResult::kCommitted;
+  ++kstats_.txn_degraded;
+  trace(t, EventType::kTxnDegraded, vpn, 1, from, target);
+  return TxnResult::kDegraded;
 }
 
 }  // namespace numasim::kern

@@ -69,10 +69,6 @@ class Engine {
   /// order.
   void post_now(std::coroutine_handle<> h) { fifo_.push_back(h); }
 
-  /// Deprecated pre-redesign spelling of post_at(); kept as a thin wrapper
-  /// (see DESIGN.md). New code should use post_at/post_in/post_now.
-  void schedule(Time t, std::coroutine_handle<> h) { post_at(t, h); }
-
   /// Awaitable: suspend the current coroutine and resume it at instant `t`.
   /// `t` may equal now(); the coroutine is then re-queued behind already
   /// scheduled same-instant events (deterministic FIFO ordering).

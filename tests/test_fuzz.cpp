@@ -27,9 +27,9 @@ class Fuzzer {
       : topo_(topo::Topology::quad_opteron()),
         k_(kern::KernelConfig{.topology = topo_, .backing = backing,
                              .migration_mode = mode,
+                             .replication = true,
                              .max_frames_per_node = 4096}),
         rng_(seed) {
-    k_.set_replication_enabled(true);
     if (!fault_spec.empty()) {
       injector_.arm(FaultPlan::parse(fault_spec), seed ^ 0x5eed);
       k_.set_fault_injector(&injector_);

@@ -16,7 +16,10 @@ constexpr std::uint64_t kHugePages = kHugeSize / mem::kPageSize;
 class HugePageTest : public ::testing::Test {
  protected:
   HugePageTest()
-      : topo_(topo::Topology::quad_opteron()), k_(kern::KernelConfig{.topology = topo_, .backing = mem::Backing::kPhantom}) {
+      : topo_(topo::Topology::quad_opteron()),
+        k_(kern::KernelConfig{.topology = topo_,
+                              .backing = mem::Backing::kPhantom,
+                              .replication = true}) {
     pid_ = k_.create_process("huge");
   }
 
@@ -107,7 +110,6 @@ TEST_F(HugePageTest, NextTouchAndReplicationRefused) {
   const vm::Vaddr a = k_.sys_mmap(t, kHugeSize, vm::Prot::kReadWrite, {}, "h", true);
   k_.access(t, a, 8, vm::Prot::kWrite, 3500.0);
   EXPECT_EQ(k_.sys_madvise(t, a, kHugeSize, Advice::kMigrateOnNextTouch), -kEINVAL);
-  k_.set_replication_enabled(true);
   EXPECT_EQ(k_.sys_madvise(t, a, kHugeSize, Advice::kReplicate), -kEINVAL);
 }
 

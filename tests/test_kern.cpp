@@ -157,18 +157,20 @@ TEST_F(KernelTest, MovePagesArgumentValidation) {
 TEST_F(KernelTest, QuadraticImplIsSlowerOnLargeRequests) {
   // Same end state, radically different cost — the Fig. 4 pathology.
   auto run = [&](MovePagesImpl impl) {
-    ThreadCtx t = ctx_on(0);
+    Kernel k(KernelConfig{.topology = topo_, .backing = mem::Backing::kMaterialized,
+                          .move_pages_impl = impl});
+    const Pid pid = k.create_process("test");
+    ThreadCtx t;
+    t.pid = pid;
     const std::uint64_t len = 2048 * mem::kPageSize;
-    const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
-    k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
-    k_.set_move_pages_impl(impl);
+    const vm::Vaddr a = k.sys_mmap(t, len, vm::Prot::kReadWrite);
+    k.access(t, a, len, vm::Prot::kWrite, 3500.0);
     const auto pages = pages_of(a, len);
     std::vector<topo::NodeId> nodes(pages.size(), 1);
     std::vector<int> status(pages.size(), 0);
     const sim::Time t0 = t.clock;
-    EXPECT_EQ(k_.sys_move_pages(t, pages, nodes, status), 0);
-    k_.set_move_pages_impl(MovePagesImpl::kLinear);
-    EXPECT_EQ(k_.pages_on_node(pid_, a, len, 1), 2048u);
+    EXPECT_EQ(k.sys_move_pages(t, pages, nodes, status), 0);
+    EXPECT_EQ(k.pages_on_node(pid, a, len, 1), 2048u);
     return t.clock - t0;
   };
   const sim::Time linear = run(MovePagesImpl::kLinear);

@@ -134,8 +134,8 @@ TEST(Kernel, ProcessesAreIsolated) {
 TEST(Kernel, ValidatePassesOnHealthyState) {
   const topo::Topology topo = topo::Topology::quad_opteron();
   kern::Kernel k(kern::KernelConfig{.topology = topo,
-                                    .backing = mem::Backing::kPhantom});
-  k.set_replication_enabled(true);
+                                    .backing = mem::Backing::kPhantom,
+                                    .replication = true});
   const kern::Pid pid = k.create_process();
   kern::ThreadCtx t;
   t.pid = pid;

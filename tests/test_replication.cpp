@@ -14,8 +14,8 @@ class ReplicationTest : public ::testing::Test {
  protected:
   ReplicationTest()
       : topo_(topo::Topology::quad_opteron()),
-        k_(kern::KernelConfig{.topology = topo_, .backing = mem::Backing::kMaterialized}) {
-    k_.set_replication_enabled(true);
+        k_(kern::KernelConfig{.topology = topo_, .backing = mem::Backing::kMaterialized,
+                              .replication = true}) {
     pid_ = k_.create_process("repl");
   }
 
@@ -126,8 +126,8 @@ TEST(ReplicationRangeLock, WriteCollapsesUnderRangeModel) {
   const topo::Topology topo = topo::Topology::quad_opteron();
   Kernel k(KernelConfig{.topology = topo,
                         .backing = mem::Backing::kMaterialized,
-                        .lock_model = LockModel::kRange});
-  k.set_replication_enabled(true);
+                        .lock_model = LockModel::kRange,
+                        .replication = true});
   const Pid pid = k.create_process("repl-range");
 
   ThreadCtx t0;

@@ -15,15 +15,19 @@ namespace {
 
 struct Probe {
   topo::Topology topo = topo::Topology::quad_opteron();
-  kern::Kernel k{kern::KernelConfig{.topology = topo,
-                                    .backing = mem::Backing::kPhantom}};
+  kern::Kernel k;
   kern::Pid pid = k.create_process();
   kern::ThreadCtx owner;    // node 0
   kern::ThreadCtx toucher;  // node 1
   vm::Vaddr buf = 0;
   std::uint64_t len = 0;
 
-  explicit Probe(std::uint64_t npages) : len(npages * mem::kPageSize) {
+  explicit Probe(std::uint64_t npages,
+                 kern::MovePagesImpl impl = kern::MovePagesImpl::kLinear)
+      : k(kern::KernelConfig{.topology = topo,
+                             .backing = mem::Backing::kPhantom,
+                             .move_pages_impl = impl}),
+        len(npages * mem::kPageSize) {
     owner.pid = pid;
     owner.core = 0;
     toucher.pid = pid;
@@ -33,15 +37,15 @@ struct Probe {
     toucher.clock = owner.clock;
   }
 
+  /// `impl` is the implementation the probe's kernel was built with.
   double move_pages_mbps(kern::MovePagesImpl impl) {
-    k.set_move_pages_impl(impl);
+    EXPECT_EQ(k.config().move_pages_impl, impl);
     std::vector<vm::Vaddr> pages;
     for (std::uint64_t i = 0; i < len; i += mem::kPageSize) pages.push_back(buf + i);
     std::vector<topo::NodeId> nodes(pages.size(), 1);
     std::vector<int> status(pages.size(), 0);
     const sim::Time t0 = owner.clock;
     k.sys_move_pages(owner, pages, nodes, status);
-    k.set_move_pages_impl(kern::MovePagesImpl::kLinear);
     return sim::mb_per_second(len, owner.clock - t0);
   }
 
@@ -72,8 +76,9 @@ TEST(ReproFig4, MovePagesBaseOverheadNear160us) {
 }
 
 TEST(ReproFig4, UnpatchedCollapsesQuadratically) {
-  const double small = Probe(128).move_pages_mbps(kern::MovePagesImpl::kQuadratic);
-  const double large = Probe(8192).move_pages_mbps(kern::MovePagesImpl::kQuadratic);
+  constexpr kern::MovePagesImpl kQuad = kern::MovePagesImpl::kQuadratic;
+  const double small = Probe(128, kQuad).move_pages_mbps(kQuad);
+  const double large = Probe(8192, kQuad).move_pages_mbps(kQuad);
   EXPECT_GT(small, 350);  // fine at small sizes
   EXPECT_LT(large, 100);  // collapsed
 }
