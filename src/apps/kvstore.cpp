@@ -130,66 +130,48 @@ bool KvStore::read_stamp(std::uint64_t key, std::uint64_t& stamp) const {
 sim::Task<void> KvStore::execute(rt::Thread& th, const Request& req,
                                  obs::Histogram* lat) {
   const sim::Time t0 = th.now();
+  const Op op = req.op;
+  const std::uint64_t key = req.key;
   std::optional<rt::Thread::Phase> span;
   if (th.kernel().tracing())
-    span.emplace(th, std::string("kv.") + op_name(req.op));
-  switch (req.op) {
+    span.emplace(th, std::string("kv.") + op_name(op));
+  std::uint64_t probes = 0;
+  const std::uint64_t slot = probe_slot(key, probes);
+  co_await th.compute(kIndexBaseNs + kIndexProbeNs * static_cast<sim::Time>(probes - 1));
+  const vm::Vaddr value = shard_addr(shard_of(key)) + slot * cfg_.value_bytes;
+  switch (op) {
     case Op::kGet:
-      co_await get(th, req.key);
+      // A value never straddles a page (KvConfig), so it is one step.
+      co_await th.touch_step(value, cfg_.value_bytes, vm::Prot::kRead);
+      ++stats_.gets;
       break;
     case Op::kPut:
-      co_await put(th, req.key);
+      co_await th.touch_step(value, cfg_.value_bytes, vm::Prot::kReadWrite);
+      ++stats_.puts;
       break;
-    case Op::kScan:
-      co_await scan(th, req.key, req.scan_slots);
+    case Op::kScan: {
+      const std::uint64_t n =
+          std::min<std::uint64_t>(std::max<std::uint32_t>(req.scan_slots, 1),
+                                  cfg_.keys_per_shard - slot);
+      co_await th.touch(value, n * cfg_.value_bytes, vm::Prot::kRead);
+      ++stats_.scans;
+      stats_.scan_slots += n;
       break;
+    }
+  }
+  stats_.index_probes += probes;
+  if (cfg_.numeric) {
+    if (op == Op::kGet && expected_[key] != 0) {
+      std::uint64_t got = 0;
+      if (!read_stamp(key, got) || got != expected_[key]) ++stats_.verify_failures;
+    } else if (op == Op::kPut) {
+      const std::uint64_t stamp = stamp_for(key, ++stamp_seq_);
+      write_stamp(key, stamp);
+      expected_[key] = stamp;
+    }
   }
   if (span) span->end();
   if (lat != nullptr) lat->record(static_cast<std::uint64_t>(th.now() - t0));
-}
-
-sim::Task<void> KvStore::get(rt::Thread& th, std::uint64_t key) {
-  std::uint64_t probes = 0;
-  const std::uint64_t slot = probe_slot(key, probes);
-  (void)slot;
-  co_await th.compute(kIndexBaseNs + kIndexProbeNs * static_cast<sim::Time>(probes - 1));
-  co_await th.touch(slot_addr(key), cfg_.value_bytes, vm::Prot::kRead);
-  ++stats_.gets;
-  stats_.index_probes += probes;
-  if (cfg_.numeric && expected_[key] != 0) {
-    std::uint64_t got = 0;
-    if (!read_stamp(key, got) || got != expected_[key]) ++stats_.verify_failures;
-  }
-}
-
-sim::Task<void> KvStore::put(rt::Thread& th, std::uint64_t key) {
-  std::uint64_t probes = 0;
-  const std::uint64_t slot = probe_slot(key, probes);
-  (void)slot;
-  co_await th.compute(kIndexBaseNs + kIndexProbeNs * static_cast<sim::Time>(probes - 1));
-  co_await th.touch(slot_addr(key), cfg_.value_bytes, vm::Prot::kReadWrite);
-  ++stats_.puts;
-  stats_.index_probes += probes;
-  if (cfg_.numeric) {
-    const std::uint64_t stamp = stamp_for(key, ++stamp_seq_);
-    write_stamp(key, stamp);
-    expected_[key] = stamp;
-  }
-}
-
-sim::Task<void> KvStore::scan(rt::Thread& th, std::uint64_t key,
-                              std::uint32_t slots) {
-  std::uint64_t probes = 0;
-  const std::uint64_t first = probe_slot(key, probes);
-  co_await th.compute(kIndexBaseNs + kIndexProbeNs * static_cast<sim::Time>(probes - 1));
-  const std::uint64_t n =
-      std::min<std::uint64_t>(std::max<std::uint32_t>(slots, 1),
-                              cfg_.keys_per_shard - first);
-  co_await th.touch(shard_addr(shard_of(key)) + first * cfg_.value_bytes,
-                    n * cfg_.value_bytes, vm::Prot::kRead);
-  ++stats_.scans;
-  stats_.scan_slots += n;
-  stats_.index_probes += probes;
 }
 
 std::uint64_t KvStore::verify_all() const {

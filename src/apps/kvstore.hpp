@@ -4,8 +4,8 @@
 // one `lib::NumaBuffer` arena per shard (placement per KvConfig::Placement),
 // a host-side open-addressing index maps keys to permuted slots (the probe
 // walk is charged as computation, the value access as a simulated touch),
-// and get/put/scan execute as coroutines on the calling thread so per-request
-// simulated latency is just the thread-clock delta across `execute()`.
+// and a request runs as one coroutine, `execute()`, on the calling thread, so
+// per-request simulated latency is just the thread-clock delta across it.
 //
 // Keys are dense: the keyspace is exactly shards * keys_per_shard and every
 // key exists after setup (serving stores are loaded before they take
@@ -93,18 +93,16 @@ class KvStore {
     return arenas_[shard].pages_on(node);
   }
 
-  /// Run one request on `th`; when `lat` is given, records the simulated
-  /// nanoseconds the request took. Emits a per-request trace span only when
-  /// a sink is attached (span construction is pure host cost, but a span
-  /// per request would still be waste when nobody listens).
+  /// Run one request on `th`: probe the index (charged as computation),
+  /// then touch the value — one page-local step for a get or put; for a
+  /// scan, up to `scan_slots` contiguous slots from the key's slot, clamped
+  /// at the shard end (scans never leave their shard). When `lat` is given,
+  /// records the simulated nanoseconds the request took. Emits a
+  /// per-request trace span only when a sink is attached (span construction
+  /// is pure host cost, but a span per request would still be waste when
+  /// nobody listens).
   sim::Task<void> execute(rt::Thread& th, const Request& req,
                           obs::Histogram* lat = nullptr);
-
-  sim::Task<void> get(rt::Thread& th, std::uint64_t key);
-  sim::Task<void> put(rt::Thread& th, std::uint64_t key);
-  /// Read up to `slots` contiguous slots starting at `key`'s slot (clamped
-  /// at the shard end — scans never leave their shard).
-  sim::Task<void> scan(rt::Thread& th, std::uint64_t key, std::uint32_t slots);
 
   /// Numeric mode: re-read every stamped key through peek and count
   /// mismatches (0 = store intact). Timing-free.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace numasim::apps {
@@ -44,6 +45,8 @@ ZipfianSampler::ZipfianSampler(std::uint64_t n, double theta,
                                std::uint64_t seed)
     : theta_(theta), rng_(seed) {
   if (n == 0) throw std::invalid_argument("ZipfianSampler: n == 0");
+  if (n > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("ZipfianSampler: n exceeds 32-bit ranks");
   // Fixed-point weights w_r ~ 2^32 / (r+1)^theta. The constant keeps the
   // total below 2^63 for any practical n, and the floor at 1 keeps every
   // rank reachable.
@@ -55,13 +58,25 @@ ZipfianSampler::ZipfianSampler(std::uint64_t n, double theta,
     total_ += std::max<std::uint64_t>(1, static_cast<std::uint64_t>(w));
     cdf_[r] = total_;
   }
+  // Guide table: at most n buckets of 2^shift_ draw values each; bucket b
+  // starts at the first rank whose cumulative weight exceeds b << shift_.
+  while (((total_ - 1) >> shift_) >= n) ++shift_;
+  guide_.resize(((total_ - 1) >> shift_) + 1);
+  std::uint32_t r = 0;
+  for (std::uint64_t b = 0; b < guide_.size(); ++b) {
+    while (cdf_[r] <= (b << shift_)) ++r;
+    guide_[b] = r;
+  }
 }
 
 std::uint64_t ZipfianSampler::next() {
   const std::uint64_t u = rng_.below(total_);
-  // First rank whose cumulative weight exceeds the draw.
-  const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin());
+  // First rank whose cumulative weight exceeds the draw: the draw's bucket
+  // names a rank at or before it, and fewer than two steps remain on
+  // average.
+  std::uint64_t r = guide_[u >> shift_];
+  while (cdf_[r] <= u) ++r;
+  return r;
 }
 
 ClientTraffic::ClientTraffic(const Config& cfg)

@@ -49,8 +49,10 @@ MixSpec mix_spec(Mix m);
 
 /// Zipfian rank sampler over [0, n): rank 0 is the hottest key. The CDF is
 /// a fixed-point integer table built once at construction (std::pow only at
-/// table build, never per sample); sampling is one Rng draw plus a binary
-/// search, so identical seeds give identical streams on any host.
+/// table build, never per sample); sampling is one Rng draw plus an exact
+/// guide-table lookup (O(1) expected steps, the rank a binary search over
+/// the CDF would find), so identical seeds give identical streams on any
+/// host. n must fit in 32 bits (std::invalid_argument otherwise).
 class ZipfianSampler {
  public:
   ZipfianSampler(std::uint64_t n, double theta, std::uint64_t seed);
@@ -63,6 +65,9 @@ class ZipfianSampler {
 
  private:
   std::vector<std::uint64_t> cdf_;  ///< inclusive cumulative weights
+  /// guide_[b]: first rank whose cumulative weight exceeds b << shift_.
+  std::vector<std::uint32_t> guide_;
+  unsigned shift_ = 0;  ///< smallest shift leaving at most n buckets
   std::uint64_t total_ = 0;
   double theta_ = 0.0;
   sim::Rng rng_;

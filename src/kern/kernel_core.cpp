@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
-#include <unordered_set>
 
 #include "kern/kernel.hpp"
 
@@ -1104,11 +1103,14 @@ std::uint64_t Kernel::pages_on_node(Pid pid, vm::Vaddr addr, std::uint64_t len,
 void Kernel::validate(Pid pid) const {
   const Process& p = proc(pid);
   std::uint64_t referenced = 0;
-  std::unordered_set<mem::FrameId> seen;
+  // One bit per FrameId; the is_live check before every claim keeps `f` in
+  // range.
+  std::vector<bool> seen(phys_.frame_id_limit());
   auto claim = [&seen](mem::FrameId f, const char* what) {
-    if (!seen.insert(f).second)
+    if (seen[f])
       throw std::logic_error{std::string{"validate: frame double-mapped ("} +
                              what + ")"};
+    seen[f] = true;
   };
   p.as.for_each([&](const vm::Vma& vma) {
     auto check_run = [&](vm::ConstPageRun run) {

@@ -130,6 +130,8 @@ class PhysMem {
   bool is_live(FrameId f) const {
     return f < state_.size() && (state_[f] & kInUse) != 0;
   }
+  /// Frames created so far: every FrameId handed out is below this.
+  std::uint64_t frame_id_limit() const { return state_.size(); }
 
   /// Lifetime counters (diagnostics / tests).
   std::uint64_t total_allocs() const { return allocs_; }

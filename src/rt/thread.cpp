@@ -1,6 +1,7 @@
 #include "rt/thread.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace numasim::rt {
 
@@ -10,81 +11,72 @@ Thread::Thread(Machine& m, kern::ThreadId tid, topo::CoreId core) : m_(m) {
   ctx_.core = core;
 }
 
-sim::Task<void> Thread::sync() {
-  co_await m_.engine().resume_at(ctx_.clock);
-}
+Thread::Step<> Thread::sync() { return step(); }
 
-sim::Task<void> Thread::compute(sim::Time ns) {
+Thread::Step<> Thread::compute(sim::Time ns) {
   ctx_.clock += ns;
   ctx_.stats.add(sim::CostKind::kCompute, ns);
-  co_await m_.engine().resume_at(ctx_.clock);
+  return step();
 }
 
-sim::Task<void> Thread::migrate_to_core(topo::CoreId core) {
+Thread::Step<> Thread::migrate_to_core(topo::CoreId core) {
   ctx_.clock += m_.cost().thread_spawn;  // context migration cost
   ctx_.stats.add(sim::CostKind::kOther, m_.cost().thread_spawn);
   ctx_.core = core;
-  co_await m_.engine().resume_at(ctx_.clock);
+  return step();
 }
 
-sim::Task<vm::Vaddr> Thread::mmap(std::uint64_t len, vm::Prot prot,
-                                  vm::MemPolicy policy, std::string name) {
-  const vm::Vaddr a = kernel().sys_mmap(ctx_, len, prot, policy, std::move(name));
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return a;
+Thread::Step<vm::Vaddr> Thread::mmap(std::uint64_t len, vm::Prot prot,
+                                     vm::MemPolicy policy, std::string name) {
+  return step(kernel().sys_mmap(ctx_, len, prot, policy, std::move(name)));
 }
 
-sim::Task<kern::SyscallResult> Thread::munmap(vm::Vaddr addr, std::uint64_t len) {
-  const kern::SyscallResult r = kernel().sys_munmap(ctx_, addr, len);
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return r;
+Thread::Step<kern::SyscallResult> Thread::munmap(vm::Vaddr addr, std::uint64_t len) {
+  return step(kernel().sys_munmap(ctx_, addr, len));
 }
 
-sim::Task<kern::SyscallResult> Thread::mprotect(vm::Vaddr addr, std::uint64_t len,
-                                                vm::Prot prot) {
-  const kern::SyscallResult r = kernel().sys_mprotect(ctx_, addr, len, prot);
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return r;
+Thread::Step<kern::SyscallResult> Thread::mprotect(vm::Vaddr addr, std::uint64_t len,
+                                                   vm::Prot prot) {
+  return step(kernel().sys_mprotect(ctx_, addr, len, prot));
 }
 
-sim::Task<kern::SyscallResult> Thread::madvise(vm::Vaddr addr, std::uint64_t len,
-                                               kern::Advice advice) {
-  const kern::SyscallResult r = kernel().sys_madvise(ctx_, addr, len, advice);
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return r;
+Thread::Step<kern::SyscallResult> Thread::madvise(vm::Vaddr addr, std::uint64_t len,
+                                                  kern::Advice advice) {
+  return step(kernel().sys_madvise(ctx_, addr, len, advice));
 }
 
-sim::Task<kern::SyscallResult> Thread::mbind(vm::Vaddr addr, std::uint64_t len,
-                                             vm::MemPolicy policy) {
-  const kern::SyscallResult r = kernel().sys_mbind(ctx_, addr, len, policy);
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return r;
+Thread::Step<kern::SyscallResult> Thread::mbind(vm::Vaddr addr, std::uint64_t len,
+                                                vm::MemPolicy policy) {
+  return step(kernel().sys_mbind(ctx_, addr, len, policy));
 }
 
-sim::Task<kern::SyscallResult> Thread::set_mempolicy(vm::MemPolicy policy) {
-  const kern::SyscallResult r = kernel().sys_set_mempolicy(ctx_, policy);
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return r;
+Thread::Step<kern::SyscallResult> Thread::set_mempolicy(vm::MemPolicy policy) {
+  return step(kernel().sys_set_mempolicy(ctx_, policy));
 }
 
 sim::Task<kern::AccessResult> Thread::touch(vm::Vaddr addr, std::uint64_t len,
                                             vm::Prot want, double stream_rate) {
-  if (stream_rate < 0) stream_rate = m_.cost().core_stream_bytes_per_us;
   kern::AccessResult total;
-  const std::uint64_t chunk_bytes = kChunkPages * mem::kPageSize;
   std::uint64_t off = 0;
   while (off < len) {
-    const std::uint64_t n = std::min(chunk_bytes, len - off);
-    const kern::AccessResult r = kernel().access(ctx_, addr + off, n, want, stream_rate);
+    const std::uint64_t n = std::min(kChunkBytes, len - off);
+    const kern::AccessResult r = co_await touch_step(addr + off, n, want, stream_rate);
     total.pages += r.pages;
     total.minor_faults += r.minor_faults;
     total.nexttouch_migrations += r.nexttouch_migrations;
     total.nexttouch_hits_local += r.nexttouch_hits_local;
     total.sigsegv_delivered += r.sigsegv_delivered;
     off += n;
-    co_await m_.engine().resume_at(ctx_.clock);
   }
   co_return total;
+}
+
+Thread::Step<kern::AccessResult> Thread::touch_step(vm::Vaddr addr, std::uint64_t len,
+                                                    vm::Prot want, double stream_rate) {
+  if (len > kChunkBytes)
+    throw std::invalid_argument("Thread::touch_step: len exceeds one chunk");
+  if (stream_rate < 0) stream_rate = m_.cost().core_stream_bytes_per_us;
+  return step(kernel().access(ctx_, addr, len, want, stream_rate));
 }
 
 sim::Task<kern::AccessResult> Thread::touch_pages_sparse(vm::Vaddr addr,
@@ -97,22 +89,16 @@ sim::Task<kern::AccessResult> Thread::touch_pages_sparse(vm::Vaddr addr,
   return touch(addr, len, want, 0.0);
 }
 
-sim::Task<int> Thread::memcpy_user(vm::Vaddr dst, vm::Vaddr src, std::uint64_t len) {
-  const int r = kernel().user_memcpy(ctx_, dst, src, len);
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return r;
+Thread::Step<int> Thread::memcpy_user(vm::Vaddr dst, vm::Vaddr src, std::uint64_t len) {
+  return step(kernel().user_memcpy(ctx_, dst, src, len));
 }
 
-sim::Task<int> Thread::read(vm::Vaddr addr, std::span<std::byte> out) {
-  const int r = kernel().read_bytes(ctx_, addr, out);
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return r;
+Thread::Step<int> Thread::read(vm::Vaddr addr, std::span<std::byte> out) {
+  return step(kernel().read_bytes(ctx_, addr, out));
 }
 
-sim::Task<int> Thread::write(vm::Vaddr addr, std::span<const std::byte> in) {
-  const int r = kernel().write_bytes(ctx_, addr, in);
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return r;
+Thread::Step<int> Thread::write(vm::Vaddr addr, std::span<const std::byte> in) {
+  return step(kernel().write_bytes(ctx_, addr, in));
 }
 
 sim::Task<kern::SyscallResult> Thread::move_pages(
@@ -156,27 +142,22 @@ sim::Task<kern::SyscallResult> Thread::move_range(vm::Vaddr addr,
   co_return moved;
 }
 
-sim::Task<kern::SyscallResult> Thread::migrate_pages(kern::Pid target,
-                                                     topo::NodeMask from,
-                                                     topo::NodeMask to) {
-  const kern::SyscallResult r = kernel().sys_migrate_pages(ctx_, target, from, to);
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return r;
+Thread::Step<kern::SyscallResult> Thread::migrate_pages(kern::Pid target,
+                                                        topo::NodeMask from,
+                                                        topo::NodeMask to) {
+  return step(kernel().sys_migrate_pages(ctx_, target, from, to));
 }
 
-sim::Task<kern::SyscallResult> Thread::move_range_async(vm::Vaddr addr,
-                                                        std::uint64_t len,
-                                                        topo::NodeId node) {
+Thread::Step<kern::SyscallResult> Thread::move_range_async(vm::Vaddr addr,
+                                                           std::uint64_t len,
+                                                           topo::NodeId node) {
   const kern::Kernel::MoveRange r{addr, len, node};
-  const kern::SyscallResult res =
-      kernel().sys_move_pages_async(ctx_, std::span{&r, 1});
-  co_await m_.engine().resume_at(ctx_.clock);
-  co_return res;
+  return step(kernel().sys_move_pages_async(ctx_, std::span{&r, 1}));
 }
 
-sim::Task<void> Thread::kmigrated_drain() {
+Thread::Step<> Thread::kmigrated_drain() {
   kernel().kmigrated_drain(ctx_);
-  co_await m_.engine().resume_at(ctx_.clock);
+  return step();
 }
 
 sim::Task<void> Thread::barrier(sim::Barrier& b) {

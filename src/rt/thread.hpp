@@ -2,13 +2,26 @@
 // against. Every operation calls into the (synchronous) kernel, then awaits
 // the engine so concurrent threads interleave in global time order.
 //
-// Long operations (big touches, big move_pages requests) are internally
-// split into kernel-batch-sized chunks with an await between chunks, so lock
-// and link contention is modelled at realistic granularity.
+// One kernel call is one `Step`. An operation whose body is a single kernel
+// call (compute, mmap, read, migrate_pages, ...) makes that call when it is
+// called and returns a `Step`: a trivially destructible awaiter holding the
+// engine, the thread's clock after the call and the call's result. Awaiting
+// it posts the awaiting coroutine once, at that instant — one engine event
+// and no coroutine frame per operation. Await a Step immediately; the
+// kernel call has already happened, so a Step stored and awaited later
+// would resume at a stale instant.
+//
+// Coroutines only sequence steps. Long operations (big touches, big
+// move_pages requests) are split into kernel-batch-sized chunks with an
+// await between chunks, so lock and link contention is modelled at
+// realistic granularity; `touch` is a loop over `touch_step`, one chunk per
+// step.
 #pragma once
 
+#include <coroutine>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -23,6 +36,39 @@ class Thread {
  public:
   /// Pages processed per interleaving step in chunked operations.
   static constexpr std::size_t kChunkPages = 64;
+  /// Bytes one touch_step may cover.
+  static constexpr std::uint64_t kChunkBytes = kChunkPages * mem::kPageSize;
+
+  /// What a one-step operation returns: its kernel call is already done;
+  /// awaiting posts the awaiter at `at` and yields the call's result.
+  /// Trivially destructible by construction (docs/gcc12-coroutine-bug.md:
+  /// GCC 12 miscompiles temporary awaiters with non-trivial members).
+  template <typename R = void>
+  class [[nodiscard]] Step {
+    struct None {};
+    using Held = std::conditional_t<std::is_void_v<R>, None, R>;
+
+   public:
+    Step(sim::Engine& engine, sim::Time at, Held result = {})
+        : engine_(&engine), at_(at), result_(result) {
+      static_assert(std::is_trivially_destructible_v<Step>,
+                    "a Step is awaited as a temporary: see docs/gcc12-coroutine-bug.md");
+    }
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const { engine_->post_at(at_, h); }
+    R await_resume() const noexcept {
+      if constexpr (std::is_void_v<R>) {
+        return;
+      } else {
+        return result_;
+      }
+    }
+
+   private:
+    sim::Engine* engine_;
+    sim::Time at_;
+    [[no_unique_address]] Held result_;
+  };
 
   Thread(Machine& m, kern::ThreadId tid, topo::CoreId core);
 
@@ -66,30 +112,35 @@ class Thread {
   void annotate(std::string_view name) { kernel().emit_instant(ctx_, name); }
 
   /// Re-synchronize with the engine (await until global clock == ctx.clock).
-  sim::Task<void> sync();
+  Step<> sync();
 
   /// Spend `ns` of pure computation.
-  sim::Task<void> compute(sim::Time ns);
+  Step<> compute(sim::Time ns);
 
   /// Move this thread to another core (sched_setaffinity + migration cost).
-  sim::Task<void> migrate_to_core(topo::CoreId core);
+  Step<> migrate_to_core(topo::CoreId core);
 
   // --- memory mapping ---------------------------------------------------------
-  sim::Task<vm::Vaddr> mmap(std::uint64_t len, vm::Prot prot = vm::Prot::kReadWrite,
-                            vm::MemPolicy policy = {}, std::string name = {});
-  sim::Task<kern::SyscallResult> munmap(vm::Vaddr addr, std::uint64_t len);
-  sim::Task<kern::SyscallResult> mprotect(vm::Vaddr addr, std::uint64_t len,
-                                          vm::Prot prot);
-  sim::Task<kern::SyscallResult> madvise(vm::Vaddr addr, std::uint64_t len,
-                                         kern::Advice advice);
-  sim::Task<kern::SyscallResult> mbind(vm::Vaddr addr, std::uint64_t len,
-                                       vm::MemPolicy policy);
-  sim::Task<kern::SyscallResult> set_mempolicy(vm::MemPolicy policy);
+  Step<vm::Vaddr> mmap(std::uint64_t len, vm::Prot prot = vm::Prot::kReadWrite,
+                       vm::MemPolicy policy = {}, std::string name = {});
+  Step<kern::SyscallResult> munmap(vm::Vaddr addr, std::uint64_t len);
+  Step<kern::SyscallResult> mprotect(vm::Vaddr addr, std::uint64_t len, vm::Prot prot);
+  Step<kern::SyscallResult> madvise(vm::Vaddr addr, std::uint64_t len,
+                                    kern::Advice advice);
+  Step<kern::SyscallResult> mbind(vm::Vaddr addr, std::uint64_t len,
+                                  vm::MemPolicy policy);
+  Step<kern::SyscallResult> set_mempolicy(vm::MemPolicy policy);
 
   // --- data plane --------------------------------------------------------------
   /// Touch [addr, addr+len) (chunked). `stream_rate` in bytes/us; pass 0 to
   /// model a pointer-chase touch (faults only, no bandwidth charge).
   sim::Task<kern::AccessResult> touch(vm::Vaddr addr, std::uint64_t len,
+                                      vm::Prot want = vm::Prot::kReadWrite,
+                                      double stream_rate = -1.0);
+
+  /// One chunk of touch(): a single kernel access of at most kChunkBytes
+  /// (a longer `len` throws std::invalid_argument).
+  Step<kern::AccessResult> touch_step(vm::Vaddr addr, std::uint64_t len,
                                       vm::Prot want = vm::Prot::kReadWrite,
                                       double stream_rate = -1.0);
 
@@ -99,10 +150,10 @@ class Thread {
                                                    vm::Prot want = vm::Prot::kReadWrite);
 
   /// memcpy(dst, src, len) in user space (the Fig. 4 baseline).
-  sim::Task<int> memcpy_user(vm::Vaddr dst, vm::Vaddr src, std::uint64_t len);
+  Step<int> memcpy_user(vm::Vaddr dst, vm::Vaddr src, std::uint64_t len);
 
-  sim::Task<int> read(vm::Vaddr addr, std::span<std::byte> out);
-  sim::Task<int> write(vm::Vaddr addr, std::span<const std::byte> in);
+  Step<int> read(vm::Vaddr addr, std::span<std::byte> out);
+  Step<int> write(vm::Vaddr addr, std::span<const std::byte> in);
 
   // --- migration ----------------------------------------------------------------
   /// move_pages(2), chunked for realistic concurrency.
@@ -115,23 +166,29 @@ class Thread {
   sim::Task<kern::SyscallResult> move_range(vm::Vaddr addr, std::uint64_t len,
                                             topo::NodeId node);
 
-  sim::Task<kern::SyscallResult> migrate_pages(kern::Pid target,
-                                               topo::NodeMask from,
-                                               topo::NodeMask to);
+  Step<kern::SyscallResult> migrate_pages(kern::Pid target, topo::NodeMask from,
+                                          topo::NodeMask to);
 
   /// Async ranged migration: queue [addr, addr+len) -> node on the
   /// destination's kmigrated daemon. count() = pages queued.
-  sim::Task<kern::SyscallResult> move_range_async(vm::Vaddr addr,
-                                                  std::uint64_t len,
-                                                  topo::NodeId node);
+  Step<kern::SyscallResult> move_range_async(vm::Vaddr addr, std::uint64_t len,
+                                             topo::NodeId node);
 
   /// Wait until every kmigrated daemon has drained.
-  sim::Task<void> kmigrated_drain();
+  Step<> kmigrated_drain();
 
   // --- synchronization -------------------------------------------------------------
   sim::Task<void> barrier(sim::Barrier& b);
 
  private:
+  /// Package a finished kernel call: resume at this thread's clock. Taking
+  /// the result as an argument orders the call before the clock is read.
+  Step<> step() { return {m_.engine(), ctx_.clock}; }
+  template <typename R>
+  Step<R> step(R result) {
+    return {m_.engine(), ctx_.clock, result};
+  }
+
   Machine& m_;
   kern::ThreadCtx ctx_;
 };

@@ -1,9 +1,12 @@
 // KV serving subsystem tests: shard routing and slot permutation, zipfian
-// traffic determinism and skew, phase-shift boundaries, data integrity under
-// concurrent migration (both lock models), event-for-event run determinism
-// with all policies off, and the zero-cost guarantee for sink-free serving.
+// traffic determinism, skew and draw exactness, phase-shift boundaries, data
+// integrity under concurrent migration (both lock models), event-for-event
+// run determinism with all policies off, and the zero-cost guarantee for
+// sink-free serving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -154,6 +157,40 @@ TEST(Traffic, RejectsBadConfig) {
   tc = traffic_config();
   tc.keys_per_tenant = 0;
   EXPECT_THROW(ClientTraffic{tc}, std::invalid_argument);
+  tc = traffic_config();
+  tc.keys_per_tenant = std::uint64_t{1} << 32;  // guide ranks are 32-bit
+  EXPECT_THROW(ClientTraffic{tc}, std::invalid_argument);
+}
+
+TEST(Traffic, ZipfianDrawsMatchBinarySearchOverTheCdf) {
+  // Reference: the fixed-point CDF rebuilt here, searched with
+  // std::upper_bound on the same Rng stream. The sampler's guide table must
+  // return the identical rank on every draw.
+  constexpr int kDraws = 100000;
+  for (const std::uint64_t n : {1ull, 2ull, 7ull, 2048ull, 65536ull}) {
+    for (const double theta : {0.0, 0.99, 1.5, 3.0}) {
+      std::vector<std::uint64_t> cdf(n);
+      std::uint64_t total = 0;
+      for (std::uint64_t r = 0; r < n; ++r) {
+        const double w = 4294967296.0 / std::pow(static_cast<double>(r + 1), theta);
+        total += std::max<std::uint64_t>(1, static_cast<std::uint64_t>(w));
+        cdf[r] = total;
+      }
+      for (const std::uint64_t seed : {1ull, 7ull, 0x5eedull}) {
+        ZipfianSampler zipf(n, theta, seed);
+        sim::Rng rng(seed);
+        std::uint64_t mismatches = 0;
+        for (int i = 0; i < kDraws; ++i) {
+          const std::uint64_t u = rng.below(total);
+          const auto want = static_cast<std::uint64_t>(
+              std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+          if (zipf.next() != want) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0u) << "n=" << n << " theta=" << theta
+                                  << " seed=" << seed;
+      }
+    }
+  }
 }
 
 // --- integrity under concurrent migration ------------------------------------

@@ -3,6 +3,8 @@
 // multi-process kernel isolation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "kern/hw_state.hpp"
@@ -147,6 +149,59 @@ TEST(Kernel, ValidatePassesOnHealthyState) {
   r.core = 4;
   r.clock = t.clock;
   k.access(r, a, 16 * mem::kPageSize, vm::Prot::kRead, 3500.0);
+  EXPECT_NO_THROW(k.validate(pid));
+}
+
+// validate() must catch the corruptions it audits for. Each test breaks one
+// PTE, checks the diagnosis and restores the PTE before teardown frees it.
+std::string validate_error(const kern::Kernel& k, kern::Pid pid) {
+  try {
+    k.validate(pid);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(Kernel, ValidateCatchesDoubleMappedFrame) {
+  kern::Kernel k(kern::KernelConfig{.topology = topo::Topology::quad_opteron(),
+                                    .backing = mem::Backing::kPhantom});
+  const kern::Pid pid = k.create_process();
+  kern::ThreadCtx t;
+  t.pid = pid;
+  const vm::Vaddr a = k.sys_mmap(t, 2 * mem::kPageSize, vm::Prot::kReadWrite);
+  k.access(t, a, 2 * mem::kPageSize, vm::Prot::kWrite, 3500.0);
+  vm::PageTable& pt = k.address_space(pid).page_table();
+  const vm::Pte* first = pt.find(vm::vpn_of(a));
+  vm::Pte* second = pt.find(vm::vpn_of(a) + 1);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  const mem::FrameId own = second->frame;
+  second->frame = first->frame;
+  EXPECT_NE(validate_error(k, pid).find("frame double-mapped"), std::string::npos);
+  second->frame = own;
+  EXPECT_NO_THROW(k.validate(pid));
+}
+
+TEST(Kernel, ValidateCatchesDeadFrame) {
+  kern::Kernel k(kern::KernelConfig{.topology = topo::Topology::quad_opteron(),
+                                    .backing = mem::Backing::kPhantom});
+  const kern::Pid pid = k.create_process();
+  kern::ThreadCtx t;
+  t.pid = pid;
+  const vm::Vaddr a = k.sys_mmap(t, 2 * mem::kPageSize, vm::Prot::kReadWrite);
+  k.access(t, a, 2 * mem::kPageSize, vm::Prot::kWrite, 3500.0);
+  vm::PageTable& pt = k.address_space(pid).page_table();
+  const vm::Pte* second = pt.find(vm::vpn_of(a) + 1);
+  ASSERT_NE(second, nullptr);
+  const mem::FrameId freed = second->frame;
+  ASSERT_TRUE(k.sys_munmap(t, a + mem::kPageSize, mem::kPageSize).ok());
+  vm::Pte* first = pt.find(vm::vpn_of(a));
+  ASSERT_NE(first, nullptr);
+  const mem::FrameId own = first->frame;
+  first->frame = freed;
+  EXPECT_NE(validate_error(k, pid).find("dead frame"), std::string::npos);
+  first->frame = own;
   EXPECT_NO_THROW(k.validate(pid));
 }
 

@@ -2,6 +2,7 @@
 // scheduling, determinism, and multi-thread contention behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -94,6 +95,62 @@ TEST(Thread, ReadWriteRoundtrip) {
     std::vector<std::byte> out(6000);
     EXPECT_EQ(co_await th.read(a + 100, out), 0);
     EXPECT_EQ(out, data);
+  });
+}
+
+TEST(Thread, TouchIsOneEngineEventPerChunkStep) {
+  constexpr std::uint64_t kChunk = Thread::kChunkBytes;
+  for (const std::uint64_t len :
+       {std::uint64_t{0}, std::uint64_t{1}, kChunk, kChunk + mem::kPageSize,
+        3 * kChunk + kChunk / 2}) {
+    // touch() on one machine...
+    kern::AccessResult got;
+    std::uint64_t events = 0;
+    sim::Time clock = 0;
+    Machine m(small_config());
+    m.run_main(0, [&](Thread& th) -> sim::Task<void> {
+      const vm::Vaddr a = co_await th.mmap(4 * kChunk);
+      const std::uint64_t before = m.engine().events_processed();
+      got = co_await th.touch(a, len);
+      events = m.engine().events_processed() - before;
+      clock = th.now();
+    });
+    // ...against per-chunk Kernel::access calls on a twin.
+    kern::AccessResult want;
+    sim::Time twin_clock = 0;
+    Machine twin(small_config());
+    twin.run_main(0, [&](Thread& th) -> sim::Task<void> {
+      const vm::Vaddr a = co_await th.mmap(4 * kChunk);
+      for (std::uint64_t off = 0; off < len; off += kChunk) {
+        const kern::AccessResult r =
+            twin.kernel().access(th.ctx(), a + off, std::min(kChunk, len - off),
+                                 vm::Prot::kReadWrite,
+                                 twin.cost().core_stream_bytes_per_us);
+        want.pages += r.pages;
+        want.minor_faults += r.minor_faults;
+        want.nexttouch_migrations += r.nexttouch_migrations;
+        want.nexttouch_hits_local += r.nexttouch_hits_local;
+        want.sigsegv_delivered += r.sigsegv_delivered;
+      }
+      twin_clock = th.now();
+    });
+    EXPECT_EQ(events, (len + kChunk - 1) / kChunk) << len;
+    EXPECT_EQ(got.pages, want.pages) << len;
+    EXPECT_EQ(got.minor_faults, want.minor_faults) << len;
+    EXPECT_EQ(got.nexttouch_migrations, want.nexttouch_migrations) << len;
+    EXPECT_EQ(got.nexttouch_hits_local, want.nexttouch_hits_local) << len;
+    EXPECT_EQ(got.sigsegv_delivered, want.sigsegv_delivered) << len;
+    EXPECT_EQ(clock, twin_clock) << len;
+  }
+}
+
+TEST(Thread, TouchStepRejectsMoreThanOneChunk) {
+  Machine m(small_config());
+  m.run_main(0, [&](Thread& th) -> sim::Task<void> {
+    const vm::Vaddr a = co_await th.mmap(2 * Thread::kChunkBytes);
+    EXPECT_THROW((void)th.touch_step(a, Thread::kChunkBytes + 1), std::invalid_argument);
+    const kern::AccessResult r = co_await th.touch_step(a, Thread::kChunkBytes);
+    EXPECT_EQ(r.pages, Thread::kChunkPages);
   });
 }
 
