@@ -16,7 +16,6 @@ enum class Mode { kStatic, kNextTouch, kReplicate };
 
 sim::Time run(Mode mode, std::uint64_t npages, unsigned passes) {
   rt::Machine::Config mc = bench::phantom_config();
-  mc.replication = true;
   rt::Machine m(mc);
   bench::observe(m);
   sim::Time span = 0;

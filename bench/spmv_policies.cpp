@@ -12,7 +12,6 @@ namespace {
 apps::SpmvResult run(apps::SpmvConfig cfg) {
   rt::Machine::Config mc;
   mc.backing = mem::Backing::kPhantom;
-  mc.replication = cfg.policy == apps::SpmvConfig::Policy::kNextTouchReplX;
   rt::Machine m(mc);
   bench::observe(m);
   rt::Team team = rt::Team::all_cores(m);

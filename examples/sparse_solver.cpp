@@ -19,7 +19,6 @@ apps::SpmvResult run(std::uint64_t n, apps::SpmvConfig::Policy policy,
                      bool numeric) {
   rt::Machine::Config mc;
   mc.backing = numeric ? mem::Backing::kMaterialized : mem::Backing::kPhantom;
-  mc.replication = policy == apps::SpmvConfig::Policy::kNextTouchReplX;
   rt::Machine m(mc);
   rt::Team team = rt::Team::all_cores(m);
   apps::SpmvConfig cfg;

@@ -10,8 +10,7 @@
 //                      repartition (madvise hook, as in the LU app);
 //   kNextTouchReplX  — additionally replicate the read-shared x vector so
 //                      every node gathers locally (combines the paper's
-//                      contribution with its future-work replication);
-//                      needs a kernel built with KernelConfig::replication.
+//                      contribution with its future-work replication).
 //
 // In numeric mode the CSR structure lives in simulated memory and the SpMV
 // is verified element-for-element against a host reference.

@@ -1,83 +1,49 @@
 #include "kern/event_log.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 namespace numasim::kern {
 
+namespace {
+
+constexpr std::string_view kEventNames[] = {
+#define NUMASIM_KERN_EVENT_NAME(e, name) name,
+    NUMASIM_KERN_EVENTS(NUMASIM_KERN_EVENT_NAME)
+#undef NUMASIM_KERN_EVENT_NAME
+};
+
+}  // namespace
+
 std::string_view event_type_name(EventType t) {
-  switch (t) {
-    case EventType::kMinorFault: return "minor-fault";
-    case EventType::kNextTouchMark: return "nt-mark";
-    case EventType::kNextTouchMigrate: return "nt-migrate";
-    case EventType::kMovePages: return "move_pages";
-    case EventType::kMigrateProcess: return "migrate_pages";
-    case EventType::kSigsegv: return "sigsegv";
-    case EventType::kReplicaCreate: return "replica-create";
-    case EventType::kReplicaCollapse: return "replica-collapse";
-    case EventType::kMigrateRetry: return "migrate-retry";
-    case EventType::kMigrateFail: return "migrate-fail";
-    case EventType::kNextTouchDegraded: return "nt-degraded";
-    case EventType::kShootdownRetry: return "shootdown-retry";
-    case EventType::kSignalDelay: return "signal-delay";
-    case EventType::kAllocStall: return "alloc-stall";
-    case EventType::kKmigratedSubmit: return "kmigrated-submit";
-    case EventType::kKmigratedComplete: return "kmigrated-complete";
-    case EventType::kKmigratedDrop: return "kmigrated-drop";
-    case EventType::kNumaScan: return "numab-scan";
-    case EventType::kNumaHintFault: return "numab-hint-fault";
-    case EventType::kNumaPromote: return "numab-promote";
-    case EventType::kNumaTaskMigrate: return "numab-task-migrate";
-    case EventType::kTxnCommit: return "txn-commit";
-    case EventType::kTxnDirtyRetry: return "txn-dirty-retry";
-    case EventType::kTxnDegraded: return "txn-degraded";
-    case EventType::kTxnAbort: return "txn-abort";
-    case EventType::kTierPromote: return "tier-promote";
-    case EventType::kTierDemote: return "tier-demote";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(t);
+  return i < std::size(kEventNames) ? kEventNames[i] : "?";
 }
 
 void EventLog::record(const obs::TraceEvent& e) {
   if (e.kind != obs::TraceEvent::Kind::kInstant) return;
-  static constexpr EventType kAll[] = {
-      EventType::kMinorFault,        EventType::kNextTouchMark,
-      EventType::kNextTouchMigrate,  EventType::kMovePages,
-      EventType::kMigrateProcess,    EventType::kSigsegv,
-      EventType::kReplicaCreate,     EventType::kReplicaCollapse,
-      EventType::kMigrateRetry,      EventType::kMigrateFail,
-      EventType::kNextTouchDegraded, EventType::kShootdownRetry,
-      EventType::kSignalDelay,       EventType::kAllocStall,
-      EventType::kKmigratedSubmit,   EventType::kKmigratedComplete,
-      EventType::kKmigratedDrop,     EventType::kNumaScan,
-      EventType::kNumaHintFault,     EventType::kNumaPromote,
-      EventType::kNumaTaskMigrate,   EventType::kTxnCommit,
-      EventType::kTxnDirtyRetry,     EventType::kTxnDegraded,
-      EventType::kTxnAbort,          EventType::kTierPromote,
-      EventType::kTierDemote,
-  };
-  for (EventType t : kAll) {
-    if (event_type_name(t) != e.name) continue;
-    Event ev;
-    ev.when = e.ts;
-    ev.tid = e.tid;
-    ev.type = t;
-    for (std::size_t i = 0; i < e.nargs; ++i) {
-      const obs::TraceArg& a = e.args[i];
-      if (a.key == "vpn") {
-        ev.vpn = static_cast<vm::Vpn>(a.value);
-      } else if (a.key == "pages") {
-        ev.pages = static_cast<std::uint64_t>(a.value);
-      } else if (a.key == "from") {
-        ev.from = a.value < 0 ? topo::kInvalidNode
-                              : static_cast<topo::NodeId>(a.value);
-      } else if (a.key == "to") {
-        ev.to = a.value < 0 ? topo::kInvalidNode
+  const auto* it = std::find(std::begin(kEventNames), std::end(kEventNames), e.name);
+  if (it == std::end(kEventNames)) return;
+  Event ev;
+  ev.when = e.ts;
+  ev.tid = e.tid;
+  ev.type = static_cast<EventType>(it - std::begin(kEventNames));
+  for (std::size_t i = 0; i < e.nargs; ++i) {
+    const obs::TraceArg& a = e.args[i];
+    if (a.key == "vpn") {
+      ev.vpn = static_cast<vm::Vpn>(a.value);
+    } else if (a.key == "pages") {
+      ev.pages = static_cast<std::uint64_t>(a.value);
+    } else if (a.key == "from") {
+      ev.from = a.value < 0 ? topo::kInvalidNode
                             : static_cast<topo::NodeId>(a.value);
-      }
+    } else if (a.key == "to") {
+      ev.to = a.value < 0 ? topo::kInvalidNode
+                          : static_cast<topo::NodeId>(a.value);
     }
-    record(ev);
-    return;
   }
+  record(ev);
 }
 
 std::string EventLog::render(std::size_t limit) const {

@@ -22,40 +22,66 @@
 
 namespace numasim::kern {
 
+/// Every mm tracepoint type, one row each: X(enumerator, "event-name"). It
+/// expands into EventType and the name table behind event_type_name(), which
+/// EventLog::record() also searches. The names are an interface: trace files
+/// and EventLog renderings carry them.
+#define NUMASIM_KERN_EVENTS(X)                                                  \
+  X(kMinorFault, "minor-fault")  /* first-touch population */                   \
+  X(kNextTouchMark, "nt-mark")  /* madvise(MIGRATE_ON_NEXT_TOUCH) */            \
+  X(kNextTouchMigrate, "nt-migrate")  /* fault-path page migration */           \
+  X(kMovePages, "move_pages")  /* move_pages syscall batch */                   \
+  X(kMigrateProcess, "migrate_pages")  /* migrate_pages syscall */              \
+  X(kSigsegv, "sigsegv")  /* signal delivered to user handler */                \
+  X(kReplicaCreate, "replica-create")                                           \
+  X(kReplicaCollapse, "replica-collapse")                                       \
+  /* Degraded-mode events (fault injection / memory pressure): */               \
+  /* transient copy failure; migration retried after backoff */                 \
+  X(kMigrateRetry, "migrate-retry")                                             \
+  /* migration aborted (ENOMEM or permanent copy failure); */                   \
+  /* the original frame stays mapped */                                         \
+  X(kMigrateFail, "migrate-fail")                                               \
+  /* next-touch fault could not migrate; page mapped in place */                \
+  X(kNextTouchDegraded, "nt-degraded")                                          \
+  /* TLB-shootdown IPI lost and re-sent */                                      \
+  X(kShootdownRetry, "shootdown-retry")                                         \
+  X(kSignalDelay, "signal-delay")  /* SIGSEGV delivery delayed */               \
+  /* first-touch allocation stalled in (simulated) reclaim */                   \
+  X(kAllocStall, "alloc-stall")                                                 \
+  /* Scalable-engine events (kmigrated daemons): */                             \
+  /* batch handed to a per-node kmigrated daemon */                             \
+  X(kKmigratedSubmit, "kmigrated-submit")                                       \
+  /* daemon finished the batch (stamped at completion) */                       \
+  X(kKmigratedComplete, "kmigrated-complete")                                   \
+  X(kKmigratedDrop, "kmigrated-drop")  /* batch dropped (fault injection) */    \
+  /* Automatic NUMA balancing events: */                                        \
+  /* one scan-clock window tagged `pages` PTEs for hinting */                   \
+  X(kNumaScan, "numab-scan")                                                    \
+  /* NUMA hint fault (from = page's node, to = faulting node) */                \
+  X(kNumaHintFault, "numab-hint-fault")                                         \
+  /* confirmed promotion batch submitted to kmigrated */                        \
+  X(kNumaPromote, "numab-promote")                                              \
+  /* sched::Balancer moved a task (from/to = core ids) */                       \
+  X(kNumaTaskMigrate, "numab-task-migrate")                                     \
+  /* Transactional migration events (kern/txn_migrate): */                      \
+  /* clean verify; page committed by atomic PTE flip */                         \
+  X(kTxnCommit, "txn-commit")                                                   \
+  /* page dirtied during the copy window; re-copy after backoff */              \
+  X(kTxnDirtyRetry, "txn-dirty-retry")                                          \
+  /* transaction gave up; caller stop-and-copied or deferred */                 \
+  X(kTxnDegraded, "txn-degraded")                                               \
+  /* retry budget exhausted / permanent fault; shadow released */               \
+  X(kTxnAbort, "txn-abort")                                                     \
+  /* Memory-tier events (kern/tiers): */                                        \
+  /* hint-confirmed batch headed to a faster tier via kmigrated */              \
+  X(kTierPromote, "tier-promote")                                               \
+  /* cold run demoted down-tier (daemon pass or direct) */                      \
+  X(kTierDemote, "tier-demote")
+
 enum class EventType : std::uint8_t {
-  kMinorFault,       // first-touch population
-  kNextTouchMark,    // madvise(MIGRATE_ON_NEXT_TOUCH)
-  kNextTouchMigrate, // fault-path page migration
-  kMovePages,        // move_pages syscall batch
-  kMigrateProcess,   // migrate_pages syscall
-  kSigsegv,          // signal delivered to user handler
-  kReplicaCreate,
-  kReplicaCollapse,
-  // Degraded-mode events (fault injection / memory pressure):
-  kMigrateRetry,       // transient copy failure; migration retried after backoff
-  kMigrateFail,        // migration aborted (ENOMEM or permanent copy failure);
-                       // the original frame stays mapped
-  kNextTouchDegraded,  // next-touch fault could not migrate; page mapped in place
-  kShootdownRetry,     // TLB-shootdown IPI lost and re-sent
-  kSignalDelay,        // SIGSEGV delivery delayed
-  kAllocStall,         // first-touch allocation stalled in (simulated) reclaim
-  // Scalable-engine events (kmigrated daemons):
-  kKmigratedSubmit,    // batch handed to a per-node kmigrated daemon
-  kKmigratedComplete,  // daemon finished the batch (stamped at completion)
-  kKmigratedDrop,      // batch dropped (fault injection)
-  // Automatic NUMA balancing events:
-  kNumaScan,         // one scan-clock window tagged `pages` PTEs for hinting
-  kNumaHintFault,    // NUMA hint fault (from = page's node, to = faulting node)
-  kNumaPromote,      // confirmed promotion batch submitted to kmigrated
-  kNumaTaskMigrate,  // sched::Balancer moved a task (from/to = core ids)
-  // Transactional migration events (kern/txn_migrate):
-  kTxnCommit,      // clean verify; page committed by atomic PTE flip
-  kTxnDirtyRetry,  // page dirtied during the copy window; re-copy after backoff
-  kTxnDegraded,    // transaction gave up; caller stop-and-copied or deferred
-  kTxnAbort,       // retry budget exhausted / permanent fault; shadow released
-  // Memory-tier events (kern/tiers):
-  kTierPromote,  // hint-confirmed batch headed to a faster tier via kmigrated
-  kTierDemote,   // cold run demoted down-tier (daemon pass or direct)
+#define NUMASIM_KERN_EVENT_ENUMERATOR(e, name) e,
+  NUMASIM_KERN_EVENTS(NUMASIM_KERN_EVENT_ENUMERATOR)
+#undef NUMASIM_KERN_EVENT_ENUMERATOR
 };
 
 std::string_view event_type_name(EventType t);

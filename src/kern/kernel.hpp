@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <span>
@@ -135,8 +136,6 @@ struct KernelConfig {
   /// another (quiesced) process, so there is no running writer to avoid
   /// stalling.
   MigrationMode migration_mode = MigrationMode::kStopAndCopy;
-  /// Extension toggle: replicate read-only pages on remote read faults.
-  bool replication = false;
   std::uint64_t max_frames_per_node = 0;  ///< 0 = topology default
   /// Next-touch migrate-ahead: on each next-touch fault, up to this many
   /// further contiguous next-touch pages are handed to the faulting node's
@@ -173,60 +172,104 @@ struct AccessResult {
   std::uint64_t sigsegv_delivered = 0;
 };
 
-/// Machine-wide counters (diagnostics, tests, numa_maps-style reports).
+/// Every machine-wide kernel counter, one row each: X(field, "registry
+/// name"). It expands into the KernelStats fields (in row order) and into
+/// the registry bindings of Kernel::set_metrics, so a counter cannot exist
+/// unbound or under a second name. The registry names are an interface:
+/// benches, bench/suite and the goldens read them by string.
+#define NUMASIM_KERNEL_COUNTERS(X)                                                \
+  X(minor_faults, "kern.minor_faults")                                            \
+  X(protection_faults, "kern.protection_faults")                                  \
+  X(nexttouch_faults, "kern.nexttouch_faults")                                    \
+  X(pages_migrated_move, "kern.pages_migrated_move")                              \
+  X(pages_migrated_process, "kern.pages_migrated_process")                        \
+  X(pages_migrated_nexttouch, "kern.pages_migrated_nexttouch")                    \
+  X(tlb_shootdowns, "kern.tlb_shootdowns")                                        \
+  X(signals_delivered, "kern.signals_delivered")                                  \
+  X(replica_pages, "kern.replica_pages")                                          \
+  X(replica_collapses, "kern.replica_collapses")                                  \
+  /* Degraded-mode accounting (memory pressure / fault injection): */             \
+  /* aborted + rolled back migrations */                                          \
+  X(migrations_failed, "kern.migrations_failed")                                  \
+  /* transient copy failures retried */                                           \
+  X(migration_retries, "kern.migration_retries")                                  \
+  /* NT faults resolved without moving */                                         \
+  X(nexttouch_degraded, "kern.nexttouch_degraded")                                \
+  /* lost + re-sent shootdown IPIs */                                             \
+  X(shootdown_retries, "kern.shootdown_retries")                                  \
+  X(signals_delayed, "kern.signals_delayed")  /* SIGSEGV deliveries delayed */    \
+  X(alloc_stalls, "kern.alloc_stalls")  /* first-touch reclaim stalls */          \
+  /* kmigrated (async per-node migration daemons): */                             \
+  /* batches accepted by a daemon */                                              \
+  X(kmigrated_batches, "kern.kmigrated.batches")                                  \
+  X(kmigrated_pages, "kern.kmigrated.pages")  /* pages migrated by daemons */     \
+  /* batches lost (fault injection) */                                            \
+  X(kmigrated_batches_dropped, "kern.kmigrated.batches_dropped")                  \
+  /* per-page ENOMEM inside a batch */                                            \
+  X(kmigrated_pages_failed, "kern.kmigrated.pages_failed")                        \
+  /* Automatic NUMA balancing: */                                                 \
+  X(numab_scans, "kern.numab.scans")  /* scan-clock windows executed */           \
+  /* PTEs tagged for hint faults */                                               \
+  X(numab_pages_scanned, "kern.numab.pages_scanned")                              \
+  X(numab_hint_faults, "kern.numab.hint_faults")  /* NUMA hint faults taken */    \
+  /* ... whose page was local */                                                  \
+  X(numab_hint_faults_local, "kern.numab.hint_faults_local")                      \
+  /* remote faults awaiting 2nd ref */                                            \
+  X(numab_promotions_deferred, "kern.numab.promotions_deferred")                  \
+  /* pages handed to kmigrated */                                                 \
+  X(numab_pages_promoted, "kern.numab.pages_promoted")                            \
+  /* balancer core moves applied */                                               \
+  X(numab_task_migrations, "kern.numab.task_migrations")                          \
+  /* interchange pair swaps chosen */                                             \
+  X(numab_task_swaps, "kern.numab.task_swaps")                                    \
+  /* Transactional migration (kern/txn_migrate): */                               \
+  /* pages committed by atomic flip */                                            \
+  X(txn_commits, "kern.migrate.txn.commits")                                      \
+  /* dirty hits re-copied with backoff */                                         \
+  X(txn_dirty_retries, "kern.migrate.txn.dirty_retries")                          \
+  /* fell back to stop-and-copy / deferred */                                     \
+  X(txn_degraded, "kern.migrate.txn.degraded")                                    \
+  /* retry budget exhausted / permanent fault */                                  \
+  X(txn_aborted, "kern.migrate.txn.aborted")                                      \
+  /* Memory tiering (kern/tiers): */                                              \
+  /* pages moved up-tier via numab/kmigrated */                                   \
+  X(tier_promotions, "kern.tier.promotions")                                      \
+  /* pages moved down-tier (daemon or direct) */                                  \
+  X(tier_demotions, "kern.tier.demotions")                                        \
+  /* watermark/direct demotion walks run */                                       \
+  X(tier_demote_passes, "kern.tier.demote_passes")                                \
+  /* Soft-TLB access fast path (kern/stlb.hpp). Host-side instrumentation: */     \
+  /* hit/miss ratios never influence simulated behaviour. */                      \
+  /* Only extents of at least vm::PageTable::kChunkPages pages are looked up, */  \
+  /* so shorter accesses count as neither a hit nor a miss. */                    \
+  X(stlb_hits, "kern.stlb.hits")  /* extents served without a PTE walk */         \
+  X(stlb_misses, "kern.stlb.misses")  /* lookups that fell to the slow walk */    \
+  /* mapping_gen bumps (all processes) */                                         \
+  X(stlb_invalidations, "kern.stlb.invalidations")                                \
+  /* Async kmigrated batches still in flight when the kernel was destroyed; */    \
+  /* accounted (never silently dropped) so an attached metrics registry */        \
+  /* keeps the evidence across kernel generations. */                             \
+  X(kmigrated_dropped_at_teardown, "kern.kmigrated.dropped")
+
+/// Machine-wide counters (diagnostics, tests, numa_maps-style reports), one
+/// field per NUMASIM_KERNEL_COUNTERS row.
 struct KernelStats {
-  std::uint64_t minor_faults = 0;
-  std::uint64_t protection_faults = 0;
-  std::uint64_t nexttouch_faults = 0;
-  std::uint64_t pages_migrated_move = 0;
-  std::uint64_t pages_migrated_process = 0;
-  std::uint64_t pages_migrated_nexttouch = 0;
-  std::uint64_t tlb_shootdowns = 0;
-  std::uint64_t signals_delivered = 0;
-  std::uint64_t replica_pages = 0;
-  std::uint64_t replica_collapses = 0;
-  // Degraded-mode accounting (memory pressure / fault injection):
-  std::uint64_t migrations_failed = 0;   ///< aborted + rolled back migrations
-  std::uint64_t migration_retries = 0;   ///< transient copy failures retried
-  std::uint64_t nexttouch_degraded = 0;  ///< NT faults resolved without moving
-  std::uint64_t shootdown_retries = 0;   ///< lost + re-sent shootdown IPIs
-  std::uint64_t signals_delayed = 0;     ///< SIGSEGV deliveries delayed
-  std::uint64_t alloc_stalls = 0;        ///< first-touch reclaim stalls
-  // kmigrated (async per-node migration daemons):
-  std::uint64_t kmigrated_batches = 0;         ///< batches accepted by a daemon
-  std::uint64_t kmigrated_pages = 0;           ///< pages migrated by daemons
-  std::uint64_t kmigrated_batches_dropped = 0; ///< batches lost (fault injection)
-  std::uint64_t kmigrated_pages_failed = 0;    ///< per-page ENOMEM inside a batch
-  // Automatic NUMA balancing:
-  std::uint64_t numab_scans = 0;          ///< scan-clock windows executed
-  std::uint64_t numab_pages_scanned = 0;  ///< PTEs tagged for hint faults
-  std::uint64_t numab_hint_faults = 0;    ///< NUMA hint faults taken
-  std::uint64_t numab_hint_faults_local = 0;  ///< ... whose page was local
-  std::uint64_t numab_promotions_deferred = 0; ///< remote faults awaiting 2nd ref
-  std::uint64_t numab_pages_promoted = 0; ///< pages handed to kmigrated
-  std::uint64_t numab_task_migrations = 0;  ///< balancer core moves applied
-  std::uint64_t numab_task_swaps = 0;       ///< interchange pair swaps chosen
-  // Transactional migration (kern/txn_migrate):
-  std::uint64_t txn_commits = 0;        ///< pages committed by atomic flip
-  std::uint64_t txn_dirty_retries = 0;  ///< dirty hits re-copied with backoff
-  std::uint64_t txn_degraded = 0;       ///< fell back to stop-and-copy / deferred
-  std::uint64_t txn_aborted = 0;        ///< retry budget exhausted / permanent fault
-  // Memory tiering (kern/tiers):
-  std::uint64_t tier_promotions = 0;    ///< pages moved up-tier via numab/kmigrated
-  std::uint64_t tier_demotions = 0;     ///< pages moved down-tier (daemon or direct)
-  std::uint64_t tier_demote_passes = 0; ///< watermark/direct demotion walks run
-  // Soft-TLB access fast path (kern/stlb.hpp). Host-side instrumentation:
-  // hit/miss ratios never influence simulated behaviour.
-  // Only extents of at least vm::PageTable::kChunkPages pages are looked up,
-  // so shorter accesses count as neither a hit nor a miss.
-  std::uint64_t stlb_hits = 0;           ///< extents served without a PTE walk
-  std::uint64_t stlb_misses = 0;         ///< lookups that fell to the slow walk
-  std::uint64_t stlb_invalidations = 0;  ///< mapping_gen bumps (all processes)
-  /// Async kmigrated batches still in flight when the kernel was destroyed;
-  /// accounted (never silently dropped) so an attached metrics registry
-  /// keeps the evidence across kernel generations.
-  std::uint64_t kmigrated_dropped_at_teardown = 0;
+#define NUMASIM_KERNEL_STATS_FIELD(field, name) std::uint64_t field = 0;
+  NUMASIM_KERNEL_COUNTERS(NUMASIM_KERNEL_STATS_FIELD)
+#undef NUMASIM_KERNEL_STATS_FIELD
 };
+
+/// Every latency/size histogram the kernel feeds, one row each: X(member,
+/// "registry name"). It expands into Kernel's cached histogram pointers,
+/// their reset on detach and their registry lookups in set_metrics.
+#define NUMASIM_KERNEL_HISTOGRAMS(X)                        \
+  X(h_fault_, "kern.fault_service_ns")                      \
+  X(h_migrate_page_, "kern.migrate_page_ns")                \
+  X(h_lock_wait_, "kern.lock_wait_ns")                      \
+  X(h_shootdown_rounds_, "kern.shootdown_rounds")           \
+  X(h_kmigrated_batch_, "kern.kmigrated.batch_latency_ns")  \
+  X(h_numab_scan_, "kern.numab.scan_pages")                 \
+  X(h_txn_retries_, "kern.migrate.txn.retries")
 
 class Kernel {
  public:
@@ -267,10 +310,9 @@ class Kernel {
   EventLog* event_log() { return elog_; }
 
   /// Attach/detach a metrics registry (nullptr = off; not owned). The
-  /// kernel binds every KernelStats field as a "kern.*" counter, per-node
-  /// used-frame gauges as "mem.used_frames.nodeN", and feeds latency
-  /// histograms: kern.fault_service_ns, kern.migrate_page_ns,
-  /// kern.lock_wait_ns, kern.shootdown_rounds. Detaching (or destroying the
+  /// kernel binds every NUMASIM_KERNEL_COUNTERS row as a "kern.*" counter,
+  /// per-node used-frame gauges as "mem.used_frames.nodeN", and feeds the
+  /// NUMASIM_KERNEL_HISTOGRAMS histograms. Detaching (or destroying the
   /// kernel) retires the bound counters into the registry so totals survive
   /// the kernel — which means an attached registry MUST outlive the kernel
   /// (or be detached first). Recording is host-side only: simulated timing
@@ -742,20 +784,28 @@ class Kernel {
            !(pte.flags & (vm::Pte::kReplica | vm::Pte::kHuge));
   }
 
-  // Un-instrumented syscall bodies; the public entry points wrap them in a
-  // span so early returns don't escape the timing.
-  SyscallResult do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
-                           Advice advice);
-  SyscallResult do_mbind(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
-                         const vm::MemPolicy& policy, bool move_existing);
-  SyscallResult do_mprotect(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
-                            vm::Prot prot, sim::CostKind attribute);
-  SyscallResult do_move_pages_ranged(ThreadCtx& t,
-                                     std::span<const MoveRange> ranges);
-  SyscallResult do_move_pages_async(ThreadCtx& t,
-                                    std::span<const MoveRange> ranges);
-  SyscallResult do_migrate_pages(ThreadCtx& t, Pid target, topo::NodeMask from,
-                                 topo::NodeMask to);
+  /// The "sys_*" span of an instrumented syscall: takes t.clock when the
+  /// syscall body starts and emits the span when its scope exits, so early
+  /// returns stay inside the timing. A body left by an exception emits no
+  /// span, and a sink's exception propagates as from any emit.
+  class SyscallSpan {
+   public:
+    SyscallSpan(Kernel& k, const ThreadCtx& t, std::string_view name)
+        : k_(k), t_(t), name_(name), begin_(t.clock) {}
+    ~SyscallSpan() noexcept(false) {
+      if (std::uncaught_exceptions() == unwinding_)
+        k_.emit_span(t_, name_, begin_, "kern");
+    }
+    SyscallSpan(const SyscallSpan&) = delete;
+    SyscallSpan& operator=(const SyscallSpan&) = delete;
+
+   private:
+    Kernel& k_;
+    const ThreadCtx& t_;
+    std::string_view name_;
+    sim::Time begin_;
+    int unwinding_ = std::uncaught_exceptions();
+  };
 
   /// Stop-and-copy serialized per-page shares of one family of migration
   /// batches, under each lock model.
@@ -865,6 +915,21 @@ class Kernel {
   void trace_slow(const ThreadCtx& t, EventType type, vm::Vpn vpn,
                   std::uint64_t pages, topo::NodeId from, topo::NodeId to);
 
+  /// The one trace-event builder: an instant at `ts`, or a span [ts,
+  /// ts+dur], on `t`'s timeline. Callers chain add_arg and pass the result
+  /// to emit().
+  static obs::TraceEvent instant_event(const ThreadCtx& t, std::string_view name,
+                                       sim::Time ts, std::string_view cat = "kern") {
+    return {.kind = obs::TraceEvent::Kind::kInstant, .ts = ts, .pid = t.pid,
+            .tid = t.tid, .cat = cat, .name = name, .args = {}};
+  }
+  static obs::TraceEvent span_event(const ThreadCtx& t, std::string_view name,
+                                    sim::Time ts, sim::Time dur,
+                                    std::string_view cat = "kern") {
+    return {.kind = obs::TraceEvent::Kind::kSpan, .ts = ts, .dur = dur,
+            .pid = t.pid, .tid = t.tid, .cat = cat, .name = name, .args = {}};
+  }
+
   /// Fan an event out to every sink.
   void emit(const obs::TraceEvent& e) {
     for (obs::TraceSink* s : sinks_) s->record(e);
@@ -902,14 +967,11 @@ class Kernel {
   EventLog* elog_ = nullptr;
   std::vector<obs::TraceSink*> sinks_;
   obs::Registry* metrics_ = nullptr;
-  // Cached histogram slots of the attached registry (null = detached).
-  obs::Histogram* h_fault_ = nullptr;
-  obs::Histogram* h_migrate_page_ = nullptr;
-  obs::Histogram* h_lock_wait_ = nullptr;
-  obs::Histogram* h_shootdown_rounds_ = nullptr;
-  obs::Histogram* h_kmigrated_batch_ = nullptr;
-  obs::Histogram* h_numab_scan_ = nullptr;
-  obs::Histogram* h_txn_retries_ = nullptr;
+  // Cached histogram slots of the attached registry (null = detached), one
+  // per NUMASIM_KERNEL_HISTOGRAMS row.
+#define NUMASIM_HISTOGRAM_MEMBER(member, name) obs::Histogram* member = nullptr;
+  NUMASIM_KERNEL_HISTOGRAMS(NUMASIM_HISTOGRAM_MEMBER)
+#undef NUMASIM_HISTOGRAM_MEMBER
   FaultInjector* injector_ = nullptr;
   std::unique_ptr<FaultInjector> owned_injector_;  // from cfg_.fault_plan
   std::vector<std::unique_ptr<Process>> procs_;

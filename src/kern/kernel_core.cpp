@@ -59,56 +59,14 @@ void Kernel::set_metrics(obs::Registry* reg) {
     metrics_->retire("mem.");
   }
   metrics_ = reg;
-  h_fault_ = h_migrate_page_ = h_lock_wait_ = h_shootdown_rounds_ =
-      h_kmigrated_batch_ = h_numab_scan_ = h_txn_retries_ = nullptr;
+#define NUMASIM_RESET_HISTOGRAM(member, name) member = nullptr;
+  NUMASIM_KERNEL_HISTOGRAMS(NUMASIM_RESET_HISTOGRAM)
+#undef NUMASIM_RESET_HISTOGRAM
   if (reg == nullptr) return;
 
-  reg->bind_counter("kern.minor_faults", &kstats_.minor_faults);
-  reg->bind_counter("kern.protection_faults", &kstats_.protection_faults);
-  reg->bind_counter("kern.nexttouch_faults", &kstats_.nexttouch_faults);
-  reg->bind_counter("kern.pages_migrated_move", &kstats_.pages_migrated_move);
-  reg->bind_counter("kern.pages_migrated_process", &kstats_.pages_migrated_process);
-  reg->bind_counter("kern.pages_migrated_nexttouch",
-                    &kstats_.pages_migrated_nexttouch);
-  reg->bind_counter("kern.tlb_shootdowns", &kstats_.tlb_shootdowns);
-  reg->bind_counter("kern.signals_delivered", &kstats_.signals_delivered);
-  reg->bind_counter("kern.replica_pages", &kstats_.replica_pages);
-  reg->bind_counter("kern.replica_collapses", &kstats_.replica_collapses);
-  reg->bind_counter("kern.migrations_failed", &kstats_.migrations_failed);
-  reg->bind_counter("kern.migration_retries", &kstats_.migration_retries);
-  reg->bind_counter("kern.nexttouch_degraded", &kstats_.nexttouch_degraded);
-  reg->bind_counter("kern.shootdown_retries", &kstats_.shootdown_retries);
-  reg->bind_counter("kern.signals_delayed", &kstats_.signals_delayed);
-  reg->bind_counter("kern.alloc_stalls", &kstats_.alloc_stalls);
-  reg->bind_counter("kern.kmigrated.batches", &kstats_.kmigrated_batches);
-  reg->bind_counter("kern.kmigrated.pages", &kstats_.kmigrated_pages);
-  reg->bind_counter("kern.kmigrated.batches_dropped",
-                    &kstats_.kmigrated_batches_dropped);
-  reg->bind_counter("kern.kmigrated.pages_failed",
-                    &kstats_.kmigrated_pages_failed);
-  reg->bind_counter("kern.kmigrated.dropped",
-                    &kstats_.kmigrated_dropped_at_teardown);
-  reg->bind_counter("kern.migrate.txn.commits", &kstats_.txn_commits);
-  reg->bind_counter("kern.migrate.txn.dirty_retries",
-                    &kstats_.txn_dirty_retries);
-  reg->bind_counter("kern.migrate.txn.degraded", &kstats_.txn_degraded);
-  reg->bind_counter("kern.migrate.txn.aborted", &kstats_.txn_aborted);
-  reg->bind_counter("kern.numab.scans", &kstats_.numab_scans);
-  reg->bind_counter("kern.numab.pages_scanned", &kstats_.numab_pages_scanned);
-  reg->bind_counter("kern.numab.hint_faults", &kstats_.numab_hint_faults);
-  reg->bind_counter("kern.numab.hint_faults_local",
-                    &kstats_.numab_hint_faults_local);
-  reg->bind_counter("kern.numab.promotions_deferred",
-                    &kstats_.numab_promotions_deferred);
-  reg->bind_counter("kern.numab.pages_promoted", &kstats_.numab_pages_promoted);
-  reg->bind_counter("kern.numab.task_migrations", &kstats_.numab_task_migrations);
-  reg->bind_counter("kern.numab.task_swaps", &kstats_.numab_task_swaps);
-  reg->bind_counter("kern.tier.promotions", &kstats_.tier_promotions);
-  reg->bind_counter("kern.tier.demotions", &kstats_.tier_demotions);
-  reg->bind_counter("kern.tier.demote_passes", &kstats_.tier_demote_passes);
-  reg->bind_counter("kern.stlb.hits", &kstats_.stlb_hits);
-  reg->bind_counter("kern.stlb.misses", &kstats_.stlb_misses);
-  reg->bind_counter("kern.stlb.invalidations", &kstats_.stlb_invalidations);
+#define NUMASIM_BIND_COUNTER(field, name) reg->bind_counter(name, &kstats_.field);
+  NUMASIM_KERNEL_COUNTERS(NUMASIM_BIND_COUNTER)
+#undef NUMASIM_BIND_COUNTER
   reg->bind_gauge("kern.tier.fast_occupancy", [this] { return fast_occupancy_pct(); });
 
   for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
@@ -122,58 +80,33 @@ void Kernel::set_metrics(obs::Registry* reg) {
                     });
   }
 
-  h_fault_ = &reg->histogram("kern.fault_service_ns");
-  h_migrate_page_ = &reg->histogram("kern.migrate_page_ns");
-  h_lock_wait_ = &reg->histogram("kern.lock_wait_ns");
-  h_shootdown_rounds_ = &reg->histogram("kern.shootdown_rounds");
-  h_kmigrated_batch_ = &reg->histogram("kern.kmigrated.batch_latency_ns");
-  h_numab_scan_ = &reg->histogram("kern.numab.scan_pages");
-  h_txn_retries_ = &reg->histogram("kern.migrate.txn.retries");
+#define NUMASIM_FIND_HISTOGRAM(member, name) member = &reg->histogram(name);
+  NUMASIM_KERNEL_HISTOGRAMS(NUMASIM_FIND_HISTOGRAM)
+#undef NUMASIM_FIND_HISTOGRAM
 }
 
 void Kernel::trace_slow(const ThreadCtx& t, EventType type, vm::Vpn vpn,
                         std::uint64_t pages, topo::NodeId from, topo::NodeId to) {
-  obs::TraceEvent e;
-  e.kind = obs::TraceEvent::Kind::kInstant;
-  e.ts = t.clock;
-  e.pid = t.pid;
-  e.tid = t.tid;
-  e.cat = "kern";
-  e.name = event_type_name(type);
-  e.add_arg("vpn", static_cast<std::int64_t>(vpn))
-      .add_arg("pages", static_cast<std::int64_t>(pages))
-      .add_arg("from",
-               from == topo::kInvalidNode ? -1 : static_cast<std::int64_t>(from))
-      .add_arg("to",
-               to == topo::kInvalidNode ? -1 : static_cast<std::int64_t>(to));
-  emit(e);
+  auto node_arg = [](topo::NodeId n) {
+    return n == topo::kInvalidNode ? -1 : static_cast<std::int64_t>(n);
+  };
+  emit(instant_event(t, event_type_name(type), t.clock)
+           .add_arg("vpn", static_cast<std::int64_t>(vpn))
+           .add_arg("pages", static_cast<std::int64_t>(pages))
+           .add_arg("from", node_arg(from))
+           .add_arg("to", node_arg(to)));
 }
 
 void Kernel::emit_instant(const ThreadCtx& t, std::string_view name,
                           std::string_view cat) {
   if (sinks_.empty()) return;
-  obs::TraceEvent e;
-  e.kind = obs::TraceEvent::Kind::kInstant;
-  e.ts = t.clock;
-  e.pid = t.pid;
-  e.tid = t.tid;
-  e.cat = cat;
-  e.name = name;
-  emit(e);
+  emit(instant_event(t, name, t.clock, cat));
 }
 
 void Kernel::emit_span(const ThreadCtx& t, std::string_view name, sim::Time begin,
                        std::string_view cat) {
   if (sinks_.empty()) return;
-  obs::TraceEvent e;
-  e.kind = obs::TraceEvent::Kind::kSpan;
-  e.ts = begin;
-  e.dur = t.clock >= begin ? t.clock - begin : 0;
-  e.pid = t.pid;
-  e.tid = t.tid;
-  e.cat = cat;
-  e.name = name;
-  emit(e);
+  emit(span_event(t, name, begin, t.clock >= begin ? t.clock - begin : 0, cat));
 }
 
 Pid Kernel::create_process(std::string name) {
@@ -399,19 +332,11 @@ Kernel::MigrateResult Kernel::migrate_page_traced(const PageMover& how,
   if (h_migrate_page_ != nullptr)
     h_migrate_page_->record(how.bill.billed() - billed);
   if (!sinks_.empty()) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceEvent::Kind::kSpan;
-    e.ts = begin;
-    e.dur = how.bill.billed() - billed;
-    e.pid = t.pid;
-    e.tid = t.tid;
-    e.cat = "kern";
-    e.name = "migrate-page";
-    e.add_arg("vpn", static_cast<std::int64_t>(vpn))
-        .add_arg("from", static_cast<std::int64_t>(from))
-        .add_arg("to", static_cast<std::int64_t>(target))
-        .add_arg("ok", r == MigrateResult::kOk ? 1 : 0);
-    emit(e);
+    emit(span_event(t, "migrate-page", begin, how.bill.billed() - billed)
+             .add_arg("vpn", static_cast<std::int64_t>(vpn))
+             .add_arg("from", static_cast<std::int64_t>(from))
+             .add_arg("to", static_cast<std::int64_t>(target))
+             .add_arg("ok", r == MigrateResult::kOk ? 1 : 0));
   }
   return r;
 }
@@ -623,16 +548,8 @@ bool Kernel::handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot wan
   const bool retry = do_handle_fault(t, p, addr, want, res, copies);
   if (h_fault_ != nullptr) h_fault_->record(t.clock - begin);
   if (!sinks_.empty()) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceEvent::Kind::kSpan;
-    e.ts = begin;
-    e.dur = t.clock - begin;
-    e.pid = t.pid;
-    e.tid = t.tid;
-    e.cat = "kern";
-    e.name = "fault";
-    e.add_arg("vpn", static_cast<std::int64_t>(vm::vpn_of(addr)));
-    emit(e);
+    emit(span_event(t, "fault", begin, t.clock - begin)
+             .add_arg("vpn", static_cast<std::int64_t>(vm::vpn_of(addr))));
   }
   return retry;
 }

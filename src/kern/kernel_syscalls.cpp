@@ -56,14 +56,7 @@ SyscallResult Kernel::sys_munmap(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
 
 SyscallResult Kernel::sys_mprotect(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
                                    vm::Prot prot, sim::CostKind attribute) {
-  const sim::Time begin = t.clock;
-  const SyscallResult r = do_mprotect(t, addr, len, prot, attribute);
-  emit_span(t, "sys_mprotect", begin, "kern");
-  return r;
-}
-
-SyscallResult Kernel::do_mprotect(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
-                                  vm::Prot prot, sim::CostKind attribute) {
+  const SyscallSpan span(*this, t, "sys_mprotect");
   Process& p = proc(t.pid);
   if (len == 0) return -kEINVAL;
   if (!p.as.range_mapped(addr, len)) return -kENOMEM;
@@ -112,14 +105,7 @@ SyscallResult Kernel::do_mprotect(ThreadCtx& t, vm::Vaddr addr, std::uint64_t le
 
 SyscallResult Kernel::sys_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
                                   Advice advice) {
-  const sim::Time begin = t.clock;
-  const SyscallResult r = do_madvise(t, addr, len, advice);
-  emit_span(t, "sys_madvise", begin, "kern");
-  return r;
-}
-
-SyscallResult Kernel::do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
-                                 Advice advice) {
+  const SyscallSpan span(*this, t, "sys_madvise");
   Process& p = proc(t.pid);
   if (len == 0) return -kEINVAL;
   if (!p.as.range_mapped(addr, len)) return -kENOMEM;
@@ -143,7 +129,6 @@ SyscallResult Kernel::do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
     }
 
     case Advice::kReplicate: {
-      if (!cfg_.replication) return -kENOSYS;
       if (const vm::Vma* v = p.as.find(addr); v != nullptr && v->huge)
         return -kEINVAL;
       // Arm: clear the write bit so writes collapse; reads repopulate per
@@ -216,14 +201,7 @@ SyscallResult Kernel::do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
 
 SyscallResult Kernel::sys_mbind(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
                                 const vm::MemPolicy& policy, bool move_existing) {
-  const sim::Time begin = t.clock;
-  const SyscallResult r = do_mbind(t, addr, len, policy, move_existing);
-  emit_span(t, "sys_mbind", begin, "kern");
-  return r;
-}
-
-SyscallResult Kernel::do_mbind(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
-                               const vm::MemPolicy& policy, bool move_existing) {
+  const SyscallSpan span(*this, t, "sys_mbind");
   Process& p = proc(t.pid);
   if (len == 0) return -kEINVAL;
   if (!p.as.range_mapped(addr, len)) return -kENOMEM;
@@ -421,17 +399,9 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
           moves.front().from, moves.front().to);
   }
   if (!sinks_.empty()) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceEvent::Kind::kSpan;
-    e.ts = entry;
-    e.dur = t.clock - entry;
-    e.pid = t.pid;
-    e.tid = t.tid;
-    e.cat = "kern";
-    e.name = "move_pages_chunk";
-    e.add_arg("pages", static_cast<std::int64_t>(chunk.size()))
-        .add_arg("moves", static_cast<std::int64_t>(moves.size()));
-    emit(e);
+    emit(span_event(t, "move_pages_chunk", entry, t.clock - entry)
+             .add_arg("pages", static_cast<std::int64_t>(chunk.size()))
+             .add_arg("moves", static_cast<std::int64_t>(moves.size())));
   }
 }
 
@@ -440,12 +410,11 @@ SyscallResult Kernel::sys_move_pages(ThreadCtx& t, std::span<const vm::Vaddr> pa
                                      std::span<int> status) {
   if (!nodes.empty() && nodes.size() != pages.size()) return -kEINVAL;
   if (status.size() != pages.size()) return -kEINVAL;
-  const sim::Time begin = t.clock;
+  const SyscallSpan span(*this, t, "sys_move_pages");
   if (pages.empty()) {
     // Linux's nr_pages == 0 fast path returns before taking mmap_sem; the
     // old model wrongly charged move_pages_base_locked under the lock here.
     charge(t, cost_.syscall_entry, sim::CostKind::kSyscallEntry);
-    emit_span(t, "sys_move_pages", begin, "kern");
     return 0;
   }
   move_pages_enter(t, pages.size());
@@ -455,20 +424,12 @@ SyscallResult Kernel::sys_move_pages(ThreadCtx& t, std::span<const vm::Vaddr> pa
                      nodes.empty() ? nodes : nodes.subspan(off, n),
                      status.subspan(off, n), pages.size());
   }
-  emit_span(t, "sys_move_pages", begin, "kern");
   return 0;
 }
 
 SyscallResult Kernel::sys_move_pages_ranged(ThreadCtx& t,
                                             std::span<const MoveRange> ranges) {
-  const sim::Time begin = t.clock;
-  const SyscallResult r = do_move_pages_ranged(t, ranges);
-  emit_span(t, "sys_move_pages_ranged", begin, "kern");
-  return r;
-}
-
-SyscallResult Kernel::do_move_pages_ranged(ThreadCtx& t,
-                                           std::span<const MoveRange> ranges) {
+  const SyscallSpan span(*this, t, "sys_move_pages_ranged");
   Process& p = proc(t.pid);
   charge(t, cost_.syscall_entry, sim::CostKind::kSyscallEntry);
   // One (cheaper) base: argument copy-in is O(ranges), not O(pages).
@@ -521,14 +482,7 @@ SyscallResult Kernel::do_move_pages_ranged(ThreadCtx& t,
 
 SyscallResult Kernel::sys_migrate_pages(ThreadCtx& t, Pid target,
                                         topo::NodeMask from, topo::NodeMask to) {
-  const sim::Time begin = t.clock;
-  const SyscallResult r = do_migrate_pages(t, target, from, to);
-  emit_span(t, "sys_migrate_pages", begin, "kern");
-  return r;
-}
-
-SyscallResult Kernel::do_migrate_pages(ThreadCtx& t, Pid target,
-                                       topo::NodeMask from, topo::NodeMask to) {
+  const SyscallSpan span(*this, t, "sys_migrate_pages");
   if (target >= procs_.size()) return -kESRCH;
   if (from == 0 || to == 0) return -kEINVAL;
   Process& p = proc(target);

@@ -9,14 +9,7 @@ namespace numasim::kern {
 
 SyscallResult Kernel::sys_move_pages_async(ThreadCtx& t,
                                            std::span<const MoveRange> ranges) {
-  const sim::Time begin = t.clock;
-  const SyscallResult r = do_move_pages_async(t, ranges);
-  emit_span(t, "sys_move_pages_async", begin, "kern");
-  return r;
-}
-
-SyscallResult Kernel::do_move_pages_async(ThreadCtx& t,
-                                          std::span<const MoveRange> ranges) {
+  const SyscallSpan span(*this, t, "sys_move_pages_async");
   Process& p = proc(t.pid);
   charge(t, cost_.syscall_entry, sim::CostKind::kSyscallEntry);
   // Validate every range up front (the whole call fails before anything is
@@ -136,18 +129,13 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
   if (h_kmigrated_batch_ != nullptr)
     h_kmigrated_batch_->record(slot.finish - submit);
   if (!sinks_.empty()) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceEvent::Kind::kInstant;
-    e.ts = slot.finish;  // stamped at completion, on the daemon's timeline
-    e.pid = t.pid;
-    e.tid = t.tid;
-    e.cat = "kern";
-    e.name = event_type_name(EventType::kKmigratedComplete);
-    e.add_arg("vpn", static_cast<std::int64_t>(vm::vpn_of(addr)))
-        .add_arg("pages", static_cast<std::int64_t>(moved))
-        .add_arg("from", -1)
-        .add_arg("to", static_cast<std::int64_t>(node));
-    emit(e);
+    // Stamped at completion, on the daemon's timeline.
+    emit(instant_event(t, event_type_name(EventType::kKmigratedComplete),
+                       slot.finish)
+             .add_arg("vpn", static_cast<std::int64_t>(vm::vpn_of(addr)))
+             .add_arg("pages", static_cast<std::int64_t>(moved))
+             .add_arg("from", -1)
+             .add_arg("to", static_cast<std::int64_t>(node)));
   }
   return moved;
 }

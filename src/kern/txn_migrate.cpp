@@ -206,19 +206,11 @@ Kernel::TxnResult Kernel::do_migrate_page_txn(ThreadCtx& t, Process& p,
   TxnMigrator txn(*this, p.pid, vpn, target, control_kind, copy_kind);
   const TxnState end = txn.run(t);
   if (!sinks_.empty()) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceEvent::Kind::kSpan;
-    e.ts = begin;
-    e.dur = t.clock - begin;
-    e.pid = t.pid;
-    e.tid = t.tid;
-    e.cat = "kern";
-    e.name = "txn-migrate";
-    e.add_arg("vpn", static_cast<std::int64_t>(vpn))
-        .add_arg("to", static_cast<std::int64_t>(target))
-        .add_arg("retries", static_cast<std::int64_t>(txn.retries()))
-        .add_arg("committed", end == TxnState::kCommitted ? 1 : 0);
-    emit(e);
+    emit(span_event(t, "txn-migrate", begin, t.clock - begin)
+             .add_arg("vpn", static_cast<std::int64_t>(vpn))
+             .add_arg("to", static_cast<std::int64_t>(target))
+             .add_arg("retries", static_cast<std::int64_t>(txn.retries()))
+             .add_arg("committed", end == TxnState::kCommitted ? 1 : 0));
   }
   if (end == TxnState::kCommitted) return TxnResult::kCommitted;
   ++kstats_.txn_degraded;

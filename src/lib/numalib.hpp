@@ -1,11 +1,10 @@
 // libnuma-flavoured user-space helpers over the simulated syscalls.
 //
-// The primary interface is the RAII `NumaBuffer` handle: it owns one mapped
-// range, remembers its placement policy, exposes the paper's migration
-// mechanisms as methods (lazy next-touch marking, synchronous move_pages),
-// and releases the mapping when destroyed. The historical free functions
-// (the simulated equivalents of numa_alloc_onnode / numa_alloc_interleaved /
-// ...) remain as thin wrappers over it.
+// The interface is the RAII `NumaBuffer` handle: it owns one mapped range,
+// remembers its placement policy, exposes the paper's migration mechanisms
+// as methods (lazy next-touch marking, synchronous move_pages), and releases
+// the mapping when destroyed. Its factories stand in for libnuma's
+// allocate-on-node / interleaved / local calls.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +18,10 @@ namespace numasim::lib {
 /// RAII handle to one NUMA-placed allocation of a simulated process.
 ///
 /// Operations that model user-visible work (populate, migrate, free) take
-/// the calling ThreadCtx and charge simulated time exactly like the free
-/// functions did. Destruction is the process-teardown path: it returns the
-/// frames without a ThreadCtx and charges nothing — call `free(t)` instead
-/// when the unmap itself is part of the measured workload.
+/// the calling ThreadCtx and charge simulated time. Destruction is the
+/// process-teardown path: it returns the frames without a ThreadCtx and
+/// charges nothing — call `free(t)` instead when the unmap itself is part of
+/// the measured workload.
 class NumaBuffer {
  public:
   NumaBuffer() = default;
@@ -80,16 +79,6 @@ class NumaBuffer {
   /// handle.
   kern::SyscallResult free(kern::ThreadCtx& t);
 
-  /// Give up ownership without unmapping; returns the address (for code
-  /// managing raw Vaddrs, e.g. the legacy free functions).
-  vm::Vaddr release() {
-    const vm::Vaddr a = addr_;
-    kernel_ = nullptr;
-    addr_ = 0;
-    size_ = 0;
-    return a;
-  }
-
  private:
   NumaBuffer(kern::Kernel& k, kern::Pid pid, vm::Vaddr addr, std::uint64_t size,
              vm::MemPolicy policy, topo::NodeId node)
@@ -120,39 +109,6 @@ class NumaBuffer {
   vm::MemPolicy policy_{};
   topo::NodeId node_ = topo::kInvalidNode;
 };
-
-// --- legacy free-function surface (thin wrappers over NumaBuffer) -------------
-
-/// Map `size` bytes bound to `node` (populated lazily on first touch).
-vm::Vaddr numa_alloc_onnode(kern::ThreadCtx& t, kern::Kernel& k, std::uint64_t size,
-                            topo::NodeId node, std::string name = {});
-
-/// Map `size` bytes interleaved across all nodes.
-vm::Vaddr numa_alloc_interleaved(kern::ThreadCtx& t, kern::Kernel& k,
-                                 std::uint64_t size, std::string name = {});
-
-/// Map `size` bytes with default policy (first touch decides placement).
-vm::Vaddr numa_alloc_local(kern::ThreadCtx& t, kern::Kernel& k, std::uint64_t size,
-                           std::string name = {});
-
-void numa_free(kern::ThreadCtx& t, kern::Kernel& k, vm::Vaddr addr,
-               std::uint64_t size);
-
-/// Fault the whole range in (one full-range write touch).
-void populate(kern::ThreadCtx& t, kern::Kernel& k, vm::Vaddr addr,
-              std::uint64_t size);
-
-/// Lazy migration via kernel next-touch (paper Sec. 3.4): mark the buffer and
-/// let pages follow whichever thread touches them, instead of a synchronous
-/// move_pages.
-kern::SyscallResult lazy_migrate(kern::ThreadCtx& t, kern::Kernel& k,
-                                 vm::Vaddr addr, std::uint64_t len);
-
-/// Synchronous migration of a whole range with move_pages. count() = pages
-/// whose status reports the target node.
-kern::SyscallResult sync_migrate(kern::ThreadCtx& t, kern::Kernel& k,
-                                 vm::Vaddr addr, std::uint64_t len,
-                                 topo::NodeId node);
 
 /// Tier-preference mempolicy (MPOL_PREFERRED_MANY flavour): allocations try
 /// the nodes of `allowed` ordered fastest-tier-first (ties broken by distance

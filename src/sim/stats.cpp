@@ -2,35 +2,19 @@
 
 namespace numasim::sim {
 
+namespace {
+
+constexpr std::string_view kCostKindNames[] = {
+#define NUMASIM_COST_KIND_NAME(e, name) name,
+    NUMASIM_COST_KINDS(NUMASIM_COST_KIND_NAME)
+#undef NUMASIM_COST_KIND_NAME
+};
+
+}  // namespace
+
 std::string_view cost_kind_name(CostKind k) {
-  switch (k) {
-    case CostKind::kCompute: return "compute";
-    case CostKind::kMemAccess: return "mem-access";
-    case CostKind::kSyscallEntry: return "syscall-entry";
-    case CostKind::kMovePagesControl: return "move_pages-control";
-    case CostKind::kMovePagesCopy: return "move_pages-copy";
-    case CostKind::kMigratePagesControl: return "migrate_pages-control";
-    case CostKind::kMigratePagesCopy: return "migrate_pages-copy";
-    case CostKind::kPageFault: return "page-fault";
-    case CostKind::kSignalDelivery: return "signal-delivery";
-    case CostKind::kUserHandler: return "user-handler";
-    case CostKind::kMprotectMark: return "mprotect-mark";
-    case CostKind::kMprotectRestore: return "mprotect-restore";
-    case CostKind::kMadvise: return "madvise";
-    case CostKind::kNextTouchControl: return "next-touch-control";
-    case CostKind::kNextTouchCopy: return "next-touch-copy";
-    case CostKind::kTlbShootdown: return "tlb-shootdown";
-    case CostKind::kReplicaControl: return "replica-control";
-    case CostKind::kReplicaCopy: return "replica-copy";
-    case CostKind::kLockWait: return "lock-wait";
-    case CostKind::kAllocZero: return "alloc-zero";
-    case CostKind::kNumaScan: return "numa-scan";
-    case CostKind::kNumaHint: return "numa-hint";
-    case CostKind::kNumaBalance: return "numa-balance";
-    case CostKind::kOther: return "other";
-    case CostKind::kCount: break;
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(k);
+  return i < kCostKindCount ? kCostKindNames[i] : "?";
 }
 
 }  // namespace numasim::sim

@@ -13,31 +13,51 @@
 
 namespace numasim::sim {
 
+/// Every cost category, one row each: X(enumerator, "name"). It expands into
+/// CostKind (in row order; CostStats indexes by it) and the name table
+/// behind cost_kind_name(). kCount stays last, outside the list.
+#define NUMASIM_COST_KINDS(X)                                                   \
+  X(kCompute, "compute")  /* user-space arithmetic */                           \
+  /* user-space loads/stores through the cache model */                         \
+  X(kMemAccess, "mem-access")                                                   \
+  X(kSyscallEntry, "syscall-entry")  /* kernel entry/exit trampolines */        \
+  /* move_pages: locking, page-table walks, status arrays */                    \
+  X(kMovePagesControl, "move_pages-control")                                    \
+  /* move_pages: the actual page copies */                                      \
+  X(kMovePagesCopy, "move_pages-copy")                                          \
+  /* migrate_pages: VMA traversal and bookkeeping */                            \
+  X(kMigratePagesControl, "migrate_pages-control")                              \
+  /* migrate_pages: the actual page copies */                                   \
+  X(kMigratePagesCopy, "migrate_pages-copy")                                    \
+  X(kPageFault, "page-fault")  /* fault entry + VMA lookup + PTE inspection */  \
+  X(kSignalDelivery, "signal-delivery")  /* SIGSEGV delivery + sigreturn */     \
+  /* user-space work inside a signal handler */                                 \
+  X(kUserHandler, "user-handler")                                               \
+  /* mprotect() used to arm user next-touch */                                  \
+  X(kMprotectMark, "mprotect-mark")                                             \
+  /* mprotect() restoring protection after migration */                         \
+  X(kMprotectRestore, "mprotect-restore")                                       \
+  X(kMadvise, "madvise")  /* madvise(MADV_MIGRATE_ON_NEXT_TOUCH) marking */     \
+  /* kernel next-touch fault path bookkeeping */                                \
+  X(kNextTouchControl, "next-touch-control")                                    \
+  X(kNextTouchCopy, "next-touch-copy")  /* kernel next-touch page copies */     \
+  X(kTlbShootdown, "tlb-shootdown")  /* remote TLB invalidation IPIs */         \
+  /* replication bookkeeping (extension) */                                     \
+  X(kReplicaControl, "replica-control")                                         \
+  X(kReplicaCopy, "replica-copy")  /* replica page copies (extension) */        \
+  X(kLockWait, "lock-wait")  /* queueing on the page-table lock */              \
+  X(kAllocZero, "alloc-zero")  /* first-touch allocation + zero-fill */         \
+  X(kNumaScan, "numa-scan")  /* autonuma: scan-clock PTE unmapping windows */   \
+  /* autonuma: hint-fault bookkeeping + promotion submits */                    \
+  X(kNumaHint, "numa-hint")                                                     \
+  /* autonuma: sched::Balancer evaluation passes */                             \
+  X(kNumaBalance, "numa-balance")                                               \
+  X(kOther, "other")
+
 enum class CostKind : std::uint8_t {
-  kCompute,             // user-space arithmetic
-  kMemAccess,           // user-space loads/stores through the cache model
-  kSyscallEntry,        // kernel entry/exit trampolines
-  kMovePagesControl,    // move_pages: locking, page-table walks, status arrays
-  kMovePagesCopy,       // move_pages: the actual page copies
-  kMigratePagesControl, // migrate_pages: VMA traversal and bookkeeping
-  kMigratePagesCopy,    // migrate_pages: the actual page copies
-  kPageFault,           // fault entry + VMA lookup + PTE inspection
-  kSignalDelivery,      // SIGSEGV delivery + sigreturn
-  kUserHandler,         // user-space work inside a signal handler
-  kMprotectMark,        // mprotect() used to arm user next-touch
-  kMprotectRestore,     // mprotect() restoring protection after migration
-  kMadvise,             // madvise(MADV_MIGRATE_ON_NEXT_TOUCH) marking
-  kNextTouchControl,    // kernel next-touch fault path bookkeeping
-  kNextTouchCopy,       // kernel next-touch page copies
-  kTlbShootdown,        // remote TLB invalidation IPIs
-  kReplicaControl,      // replication bookkeeping (extension)
-  kReplicaCopy,         // replica page copies (extension)
-  kLockWait,            // queueing on the page-table lock
-  kAllocZero,           // first-touch allocation + zero-fill
-  kNumaScan,            // autonuma: scan-clock PTE unmapping windows
-  kNumaHint,            // autonuma: hint-fault bookkeeping + promotion submits
-  kNumaBalance,         // autonuma: sched::Balancer evaluation passes
-  kOther,
+#define NUMASIM_COST_KIND_ENUMERATOR(e, name) e,
+  NUMASIM_COST_KINDS(NUMASIM_COST_KIND_ENUMERATOR)
+#undef NUMASIM_COST_KIND_ENUMERATOR
   kCount
 };
 

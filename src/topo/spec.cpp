@@ -5,6 +5,9 @@
 //
 // All parse failures throw topo::SpecError carrying the offending key and
 // raw token (see topology.hpp for the grammar).
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -36,8 +39,32 @@ std::unordered_map<std::string, std::string> parse_kv(const std::string& spec) {
   return kv;
 }
 
+/// Exclusive upper bound of the values that convert to std::uint64_t.
+constexpr double kU64Limit = 18446744073709551616.0;  // 2^64
+
+/// Where a spec number must lie: finite, at least `lo` (above it when
+/// `lo_open`), below `hi`, and whole when `integer`. `want` states the rule
+/// in the error message.
+struct Limits {
+  const char* want;
+  double lo = 0;
+  bool lo_open = false;
+  double hi = std::numeric_limits<double>::infinity();
+  bool integer = false;
+};
+constexpr Limits kPositive{.want = "a number > 0", .lo_open = true};
+// Converted to integer nanoseconds (sim::Time) or bytes (std::uint64_t).
+constexpr Limits kPositiveNs{.want = "a number > 0 below 2^64", .lo_open = true,
+                             .hi = kU64Limit};
+constexpr Limits kNs{.want = "a number >= 0 below 2^64", .hi = kU64Limit};
+constexpr Limits kMegabytes{.want = "a number >= 0 below 2^44",
+                            .hi = kU64Limit / (1 << 20)};
+constexpr Limits kGigabytes{.want = "a number >= 0 below 2^34",
+                            .hi = kU64Limit / (1 << 30)};
+
+/// The number under `key` within `lim`, or `fallback` when the key is absent.
 double num(const std::unordered_map<std::string, std::string>& kv,
-           const std::string& key, double fallback) {
+           const std::string& key, double fallback, const Limits& lim) {
   auto it = kv.find(key);
   if (it == kv.end()) return fallback;
   std::size_t pos = 0;
@@ -48,6 +75,10 @@ double num(const std::unordered_map<std::string, std::string>& kv,
     fail("bad number for " + key, key, it->second);
   }
   if (pos != it->second.size()) fail("bad number for " + key, key, it->second);
+  const bool in_range = std::isfinite(v) &&
+                        (lim.lo_open ? v > lim.lo : v >= lim.lo) && v < lim.hi &&
+                        (!lim.integer || v == std::floor(v));
+  if (!in_range) fail(key + " must be " + lim.want, key, it->second);
   return v;
 }
 
@@ -80,7 +111,7 @@ std::vector<MemTier> parse_tiers(const std::string& value, unsigned nodes) {
     } catch (const std::exception&) {
       fail("bad tier count in '" + part + "'", "tiers", part);
     }
-    if (pos != count_str.size() || count == 0)
+    if (pos != count_str.size() || count == 0 || count > nodes - out.size())
       fail("bad tier count in '" + part + "'", "tiers", part);
     out.insert(out.end(), count, tier);
   }
@@ -106,22 +137,32 @@ Topology Topology::from_spec(const std::string& spec) {
     if (!ok) fail("unknown key " + key, key, value);
   }
 
-  const auto nodes = static_cast<unsigned>(num(kv, "nodes", 0));
-  const auto cores = static_cast<unsigned>(num(kv, "cores", 0));
+  // Topology::build takes 1..64 nodes, and every core id must fit a CoreId.
+  const auto nodes = static_cast<unsigned>(num(
+      kv, "nodes", 0,
+      {.want = "an integer in 1..64", .lo = 1, .hi = 65, .integer = true}));
+  const auto max_cores = static_cast<double>(
+      std::numeric_limits<CoreId>::max() / std::max(nodes, 1u));
+  const auto cores = static_cast<unsigned>(num(
+      kv, "cores", 0,
+      {.want = "an integer >= 1 (nodes x cores < 2^32)", .lo = 1,
+       .hi = max_cores + 1, .integer = true}));
   if (nodes == 0 || cores == 0)
     fail("nodes= and cores= required", nodes == 0 ? "nodes" : "cores", "");
 
   CoreSpec core;
-  core.clock_ghz = num(kv, "ghz", core.clock_ghz);
-  core.dp_flops_per_cycle = num(kv, "flops_per_cycle", core.dp_flops_per_cycle);
+  core.clock_ghz = num(kv, "ghz", core.clock_ghz, kPositive);
+  core.dp_flops_per_cycle =
+      num(kv, "flops_per_cycle", core.dp_flops_per_cycle, kPositive);
 
   NodeSpec node;
-  node.dram_bytes_per_us = num(kv, "dram_bw", node.dram_bytes_per_us);
+  node.dram_bytes_per_us = num(kv, "dram_bw", node.dram_bytes_per_us, kPositive);
   node.dram_latency = static_cast<sim::Time>(
-      num(kv, "dram_ns", static_cast<double>(node.dram_latency)));
-  node.l3_bytes = static_cast<std::uint64_t>(num(kv, "l3_mb", 2.0) * (1 << 20));
-  node.dram_capacity_bytes =
-      static_cast<std::uint64_t>(num(kv, "mem_gb", 8.0) * (1ull << 30));
+      num(kv, "dram_ns", static_cast<double>(node.dram_latency), kPositiveNs));
+  node.l3_bytes = static_cast<std::uint64_t>(
+      num(kv, "l3_mb", 2.0, kMegabytes) * (1 << 20));
+  node.dram_capacity_bytes = static_cast<std::uint64_t>(
+      num(kv, "mem_gb", 8.0, kGigabytes) * (1ull << 30));
 
   // Per-node specs: flat (all-kDram) unless a tiers= clause says otherwise.
   // Tier defaults derive from the dram numbers so a spec can scale the whole
@@ -130,23 +171,26 @@ Topology Topology::from_spec(const std::string& spec) {
   if (auto it = kv.find("tiers"); it != kv.end()) {
     NodeSpec fast = node;
     fast.tier = MemTier::kFast;
-    fast.dram_bytes_per_us = num(kv, "fast_bw", node.dram_bytes_per_us * 3.0);
+    fast.dram_bytes_per_us =
+        num(kv, "fast_bw", node.dram_bytes_per_us * 3.0, kPositive);
     fast.dram_latency = static_cast<sim::Time>(num(
         kv, "fast_ns",
-        static_cast<double>(std::max<sim::Time>(1, node.dram_latency / 2))));
-    fast.dram_capacity_bytes =
-        static_cast<std::uint64_t>(num(kv, "fast_mb", 64.0) * (1ull << 20));
+        static_cast<double>(std::max<sim::Time>(1, node.dram_latency / 2)),
+        kPositiveNs));
+    fast.dram_capacity_bytes = static_cast<std::uint64_t>(
+        num(kv, "fast_mb", 64.0, kMegabytes) * (1ull << 20));
 
     NodeSpec far = node;
     far.tier = MemTier::kFar;
-    far.dram_bytes_per_us = num(kv, "far_bw", node.dram_bytes_per_us / 2.0);
+    far.dram_bytes_per_us =
+        num(kv, "far_bw", node.dram_bytes_per_us / 2.0, kPositive);
     far.dram_write_bytes_per_us =
-        num(kv, "far_wr_bw", far.dram_bytes_per_us / 2.0);
-    far.dram_latency = static_cast<sim::Time>(
-        num(kv, "far_ns", static_cast<double>(node.dram_latency * 3)));
+        num(kv, "far_wr_bw", far.dram_bytes_per_us / 2.0, kPositive);
+    far.dram_latency = static_cast<sim::Time>(num(
+        kv, "far_ns", static_cast<double>(node.dram_latency * 3), kPositiveNs));
     far.dram_capacity_bytes = static_cast<std::uint64_t>(
-        num(kv, "far_mb",
-            static_cast<double>(node.dram_capacity_bytes >> 20)) *
+        num(kv, "far_mb", static_cast<double>(node.dram_capacity_bytes >> 20),
+            kMegabytes) *
         (1ull << 20));
 
     const std::vector<MemTier> tiers = parse_tiers(it->second, nodes);
@@ -165,9 +209,9 @@ Topology Topology::from_spec(const std::string& spec) {
   }
 
   LinkSpec proto;
-  proto.bytes_per_us = num(kv, "link_bw", proto.bytes_per_us);
+  proto.bytes_per_us = num(kv, "link_bw", proto.bytes_per_us, kPositive);
   proto.hop_latency = static_cast<sim::Time>(
-      num(kv, "hop_ns", static_cast<double>(proto.hop_latency)));
+      num(kv, "hop_ns", static_cast<double>(proto.hop_latency), kNs));
 
   std::string shape = "ring";
   if (auto it = kv.find("shape"); it != kv.end()) shape = it->second;

@@ -129,6 +129,9 @@ class Topology {
   ///   far_wr_bw                   (write bandwidth; default far_bw/2)
   /// Capacities for fast/far are in MB — device tiers are small by design.
   ///
+  /// Every number must be finite. nodes is an integer in 1..64 and cores an
+  /// integer >= 1 (nodes x cores < 2^32); bandwidths, ghz, flops_per_cycle,
+  /// dram_ns, fast_ns and far_ns are > 0; hop_ns and the sizes are >= 0.
   /// Throws topo::SpecError (derives std::invalid_argument) carrying the
   /// offending key and token.
   static Topology from_spec(const std::string& spec);

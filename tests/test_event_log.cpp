@@ -1,6 +1,8 @@
 // Tests for the kernel event-log trace subsystem.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "kern/kernel.hpp"
@@ -110,6 +112,37 @@ TEST_F(EventLogTest, BoundedCapacityDropsOldest) {
   small.clear();
   EXPECT_TRUE(small.events().empty());
   EXPECT_EQ(small.dropped(), 0u);
+}
+
+TEST(EventLog, RoundTripsEveryEventType) {
+  const EventType all[] = {
+#define NUMASIM_EVENT_TYPE(e, name) EventType::e,
+      NUMASIM_KERN_EVENTS(NUMASIM_EVENT_TYPE)
+#undef NUMASIM_EVENT_TYPE
+  };
+  EventLog log;
+  for (std::size_t i = 0; i < std::size(all); ++i) {
+    obs::TraceEvent e;
+    e.ts = 100 + i;
+    e.tid = 7;
+    e.name = event_type_name(all[i]);
+    e.add_arg("vpn", static_cast<std::int64_t>(0x40 + i))
+        .add_arg("pages", static_cast<std::int64_t>(i + 1))
+        .add_arg("from", 1)
+        .add_arg("to", 2);
+    log.record(e);
+  }
+  ASSERT_EQ(log.events().size(), std::size(all));
+  for (std::size_t i = 0; i < std::size(all); ++i) {
+    const Event& ev = log.events()[i];
+    EXPECT_EQ(ev.type, all[i]) << event_type_name(all[i]);
+    EXPECT_EQ(ev.when, 100 + i);
+    EXPECT_EQ(ev.tid, 7u);
+    EXPECT_EQ(ev.vpn, 0x40 + i);
+    EXPECT_EQ(ev.pages, i + 1);
+    EXPECT_EQ(ev.from, 1u);
+    EXPECT_EQ(ev.to, 2u);
+  }
 }
 
 TEST_F(EventLogTest, DetachedLogRecordsNothing) {

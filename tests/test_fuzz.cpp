@@ -27,7 +27,6 @@ class Fuzzer {
       : topo_(topo::Topology::quad_opteron()),
         k_(kern::KernelConfig{.topology = topo_, .backing = backing,
                              .migration_mode = mode,
-                             .replication = true,
                              .max_frames_per_node = 4096}),
         rng_(seed) {
     if (!fault_spec.empty()) {

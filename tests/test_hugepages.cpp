@@ -18,8 +18,7 @@ class HugePageTest : public ::testing::Test {
   HugePageTest()
       : topo_(topo::Topology::quad_opteron()),
         k_(kern::KernelConfig{.topology = topo_,
-                              .backing = mem::Backing::kPhantom,
-                              .replication = true}) {
+                              .backing = mem::Backing::kPhantom}) {
     pid_ = k_.create_process("huge");
   }
 

@@ -136,8 +136,7 @@ TEST(Kernel, ProcessesAreIsolated) {
 TEST(Kernel, ValidatePassesOnHealthyState) {
   const topo::Topology topo = topo::Topology::quad_opteron();
   kern::Kernel k(kern::KernelConfig{.topology = topo,
-                                    .backing = mem::Backing::kPhantom,
-                                    .replication = true});
+                                    .backing = mem::Backing::kPhantom});
   const kern::Pid pid = k.create_process();
   kern::ThreadCtx t;
   t.pid = pid;

@@ -267,6 +267,69 @@ TEST_F(ObsKernelTest, RegistryDeltaMatchesKernelStats) {
   EXPECT_EQ(static_cast<std::uint64_t>(used), k.phys().total_used_frames());
 }
 
+TEST_F(ObsKernelTest, RegistryNamesArePinned) {
+  // Benches, bench/suite and the goldens read these names by string: a
+  // rename is an interface change, not a refactor.
+  const std::vector<std::string> counters = {
+      "kern.alloc_stalls",
+      "kern.kmigrated.batches",
+      "kern.kmigrated.batches_dropped",
+      "kern.kmigrated.dropped",
+      "kern.kmigrated.pages",
+      "kern.kmigrated.pages_failed",
+      "kern.migrate.txn.aborted",
+      "kern.migrate.txn.commits",
+      "kern.migrate.txn.degraded",
+      "kern.migrate.txn.dirty_retries",
+      "kern.migration_retries",
+      "kern.migrations_failed",
+      "kern.minor_faults",
+      "kern.nexttouch_degraded",
+      "kern.nexttouch_faults",
+      "kern.numab.hint_faults",
+      "kern.numab.hint_faults_local",
+      "kern.numab.pages_promoted",
+      "kern.numab.pages_scanned",
+      "kern.numab.promotions_deferred",
+      "kern.numab.scans",
+      "kern.numab.task_migrations",
+      "kern.numab.task_swaps",
+      "kern.pages_migrated_move",
+      "kern.pages_migrated_nexttouch",
+      "kern.pages_migrated_process",
+      "kern.protection_faults",
+      "kern.replica_collapses",
+      "kern.replica_pages",
+      "kern.shootdown_retries",
+      "kern.signals_delayed",
+      "kern.signals_delivered",
+      "kern.stlb.hits",
+      "kern.stlb.invalidations",
+      "kern.stlb.misses",
+      "kern.tier.demote_passes",
+      "kern.tier.demotions",
+      "kern.tier.promotions",
+      "kern.tlb_shootdowns",
+  };
+  const std::vector<std::string> histograms = {
+      "kern.fault_service_ns",    "kern.kmigrated.batch_latency_ns",
+      "kern.lock_wait_ns",        "kern.migrate.txn.retries",
+      "kern.migrate_page_ns",     "kern.numab.scan_pages",
+      "kern.shootdown_rounds",
+  };
+  Registry reg;
+  kern::Kernel k(kern::KernelConfig{.topology = topo_, .backing = mem::Backing::kPhantom});
+  k.set_metrics(&reg);
+  const Snapshot s = reg.snapshot();
+  std::vector<std::string> got_counters;
+  for (const auto& [name, v] : s.counters)
+    if (name.starts_with("kern.")) got_counters.push_back(name);
+  std::vector<std::string> got_histograms;
+  for (const auto& [name, h] : s.histograms) got_histograms.push_back(name);
+  EXPECT_EQ(got_counters, counters);
+  EXPECT_EQ(got_histograms, histograms);
+}
+
 TEST_F(ObsKernelTest, RegistryAccumulatesAcrossKernelGenerations) {
   Registry reg;
   std::uint64_t total_faults = 0;
@@ -282,20 +345,9 @@ TEST_F(ObsKernelTest, RegistryAccumulatesAcrossKernelGenerations) {
 // --- zero cost / zero randomness without sinks -------------------------------
 
 void expect_stats_eq(const kern::KernelStats& a, const kern::KernelStats& b) {
-  EXPECT_EQ(a.minor_faults, b.minor_faults);
-  EXPECT_EQ(a.protection_faults, b.protection_faults);
-  EXPECT_EQ(a.nexttouch_faults, b.nexttouch_faults);
-  EXPECT_EQ(a.pages_migrated_move, b.pages_migrated_move);
-  EXPECT_EQ(a.pages_migrated_process, b.pages_migrated_process);
-  EXPECT_EQ(a.pages_migrated_nexttouch, b.pages_migrated_nexttouch);
-  EXPECT_EQ(a.tlb_shootdowns, b.tlb_shootdowns);
-  EXPECT_EQ(a.signals_delivered, b.signals_delivered);
-  EXPECT_EQ(a.migrations_failed, b.migrations_failed);
-  EXPECT_EQ(a.migration_retries, b.migration_retries);
-  EXPECT_EQ(a.nexttouch_degraded, b.nexttouch_degraded);
-  EXPECT_EQ(a.shootdown_retries, b.shootdown_retries);
-  EXPECT_EQ(a.signals_delayed, b.signals_delayed);
-  EXPECT_EQ(a.alloc_stalls, b.alloc_stalls);
+#define NUMASIM_EXPECT_COUNTER_EQ(field, name) EXPECT_EQ(a.field, b.field) << name;
+  NUMASIM_KERNEL_COUNTERS(NUMASIM_EXPECT_COUNTER_EQ)
+#undef NUMASIM_EXPECT_COUNTER_EQ
 }
 
 TEST_F(ObsKernelTest, SinksDrawNoSimulatedCostOrRandomness) {

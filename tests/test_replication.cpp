@@ -14,8 +14,7 @@ class ReplicationTest : public ::testing::Test {
  protected:
   ReplicationTest()
       : topo_(topo::Topology::quad_opteron()),
-        k_(kern::KernelConfig{.topology = topo_, .backing = mem::Backing::kMaterialized,
-                              .replication = true}) {
+        k_(kern::KernelConfig{.topology = topo_, .backing = mem::Backing::kMaterialized}) {
     pid_ = k_.create_process("repl");
   }
 
@@ -44,16 +43,6 @@ class ReplicationTest : public ::testing::Test {
   Pid pid_ = 0;
   std::uint64_t len_ = 0;
 };
-
-TEST_F(ReplicationTest, DisabledByDefault) {
-  Kernel plain(KernelConfig{.topology = topo_, .backing = mem::Backing::kPhantom});
-  const Pid pid = plain.create_process();
-  ThreadCtx t;
-  t.pid = pid;
-  const vm::Vaddr a = plain.sys_mmap(t, mem::kPageSize, vm::Prot::kReadWrite);
-  plain.access(t, a, mem::kPageSize, vm::Prot::kWrite, 3500.0);
-  EXPECT_EQ(plain.sys_madvise(t, a, mem::kPageSize, Advice::kReplicate), -kENOSYS);
-}
 
 TEST_F(ReplicationTest, ReadersGetLocalReplicas) {
   const vm::Vaddr a = make_buffer(8);
@@ -126,8 +115,7 @@ TEST(ReplicationRangeLock, WriteCollapsesUnderRangeModel) {
   const topo::Topology topo = topo::Topology::quad_opteron();
   Kernel k(KernelConfig{.topology = topo,
                         .backing = mem::Backing::kMaterialized,
-                        .lock_model = LockModel::kRange,
-                        .replication = true});
+                        .lock_model = LockModel::kRange});
   const Pid pid = k.create_process("repl-range");
 
   ThreadCtx t0;

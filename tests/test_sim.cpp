@@ -2,6 +2,8 @@
 // resources, barrier, RNG determinism and cost statistics.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
 #include <vector>
 
 #include "sim/barrier.hpp"
@@ -245,9 +247,12 @@ TEST(CostStats, AccumulatesAndFractions) {
 }
 
 TEST(CostStats, EveryKindHasAName) {
+  std::set<std::string_view> names;
   for (std::size_t i = 0; i < kCostKindCount; ++i) {
     EXPECT_NE(cost_kind_name(static_cast<CostKind>(i)), "?");
+    names.insert(cost_kind_name(static_cast<CostKind>(i)));
   }
+  EXPECT_EQ(names.size(), kCostKindCount);  // no two kinds share a name
 }
 
 TEST(Engine, SameTimestampWakeupsRunInPostOrder) {

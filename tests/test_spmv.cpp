@@ -14,7 +14,6 @@ SpmvResult run_spmv(SpmvConfig cfg, mem::Backing backing,
                     std::vector<double>* got = nullptr) {
   rt::Machine::Config mc;
   mc.backing = backing;
-  mc.replication = cfg.policy == SpmvConfig::Policy::kNextTouchReplX;
   rt::Machine m(mc);
   rt::Team team = rt::Team::all_cores(m);
   Spmv app(m, team, cfg);

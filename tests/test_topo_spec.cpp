@@ -1,6 +1,8 @@
 // Tests for the textual topology spec parser.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "topo/topology.hpp"
 
 namespace numasim::topo {
@@ -68,6 +70,35 @@ TEST(TopoSpec, Rejections) {
                std::invalid_argument);
   EXPECT_THROW(Topology::from_spec("nodes=2 cores=1 shape"),
                std::invalid_argument);
+  // Out-of-range numbers fail with a SpecError naming the key instead of
+  // crashing in Topology::build, wrapping, or truncating.
+  const std::pair<const char*, const char*> bad_numbers[] = {
+      {"nodes=65 cores=1", "nodes"},
+      {"nodes=-1 cores=2", "nodes"},
+      {"nodes=2.7 cores=2", "nodes"},
+      {"nodes=2 cores=5000000000", "cores"},
+      {"nodes=2 cores=0.5", "cores"},
+      {"nodes=2 cores=2 link_bw=0", "link_bw"},
+      {"nodes=2 cores=2 dram_bw=-1", "dram_bw"},
+      {"nodes=2 cores=2 ghz=nan", "ghz"},
+      {"nodes=2 cores=2 flops_per_cycle=inf", "flops_per_cycle"},
+      {"nodes=2 cores=2 dram_ns=0", "dram_ns"},
+      {"nodes=2 cores=2 hop_ns=-5", "hop_ns"},
+      {"nodes=2 cores=2 mem_gb=1e30", "mem_gb"},
+      {"nodes=2 cores=2 l3_mb=-1", "l3_mb"},
+      {"nodes=2 cores=1 tiers=fast:1,far:1 far_wr_bw=0", "far_wr_bw"},
+      {"nodes=2 cores=1 tiers=fast:1,dram:1 fast_ns=0", "fast_ns"},
+      {"nodes=2 cores=1 tiers=dram:1,far:1 far_ns=-1", "far_ns"},
+      {"nodes=2 cores=1 tiers=fast:5000000000", "tiers"},
+  };
+  for (const auto& [spec, key] : bad_numbers) {
+    try {
+      (void)Topology::from_spec(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const SpecError& e) {
+      EXPECT_EQ(e.key, key) << spec;
+    }
+  }
 }
 
 TEST(TopoSpec, DefaultsMatchNodeSpec) {
