@@ -601,6 +601,14 @@ class Kernel {
                    vm::Prot want, topo::NodeId core_node, AccessResult& res,
                    CopyBatch& copies, OnPage&& on_page, OnFault&& on_fault);
 
+  /// The per-page step of every access walk, on a PTE that allows the
+  /// access: a write sets kDirty and bumps write_gen. Returns the node that
+  /// serves the access, which for a read of a kReplica page is the replica
+  /// resolve_replica picks for `core_node`.
+  topo::NodeId access_page(ThreadCtx& t, Process& p, vm::Pte& pte, vm::Vpn vpn,
+                           bool writing, topo::NodeId core_node,
+                           CopyBatch& copies);
+
   /// For a read of a kReplica page: the node whose copy serves `reader`,
   /// creating the reader-local replica (charged) on first use.
   topo::NodeId resolve_replica(ThreadCtx& t, Process& p, vm::Pte& pte, vm::Vpn vpn,
@@ -746,20 +754,21 @@ class Kernel {
   MigrateResult do_migrate_page(const PageMover& how, Process& p, vm::Pte& pte,
                                 vm::Vpn vpn, topo::NodeId target);
 
-  /// The commit step every engine ends in: copy the page's bytes into `nf`,
-  /// free the old frame, flip the PTE to `nf`, move the page between
-  /// PlacementCounts rows and retire cached soft-TLB descriptors (the page
-  /// changed nodes under them). Charges nothing; PTE flag bits stay the
-  /// caller's.
-  void commit_page(Process& p, vm::Pte& pte, vm::Vpn vpn, mem::FrameId nf) {
+  /// The commit step every engine ends in: copy the page's bytes into `nf`
+  /// (a frame on node `to`), free the old frame, map the PTE to `nf`, move
+  /// the page between PlacementCounts rows and retire cached soft-TLB
+  /// descriptors (the page changed nodes under them). Charges nothing; PTE
+  /// flag bits stay the caller's.
+  void commit_page(Process& p, vm::Pte& pte, vm::Vpn vpn, mem::FrameId nf,
+                   topo::NodeId to) {
     if (std::byte* dst = phys_.data(nf)) {
       if (const std::byte* src = phys_.data(pte.frame))
         std::memcpy(dst, src, mem::kPageSize);
     }
-    const topo::NodeId from = phys_.node_of(pte.frame);
+    const topo::NodeId from = pte.node();
     phys_.free(pte.frame);
-    pte.frame = nf;
-    p.placement.move(vpn, from, phys_.node_of(nf));
+    pte.map(nf, to);
+    p.placement.move(vpn, from, to);
     stlb_invalidate(p);  // migrate site: the page changed nodes under any descriptor
   }
 

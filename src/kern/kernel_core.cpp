@@ -226,23 +226,23 @@ void Kernel::populate_page(ThreadCtx& t, Process& p, const vm::Vma& vma,
 
   const mem::FrameId frame = alloc_user_frame(t, vpn, target);
   if (frame == mem::kInvalidFrame) throw std::runtime_error{"simulated OOM"};
+  const topo::NodeId node = phys_.node_of(frame);
 
   // Allocation + zero-fill through the target node's DRAM.
   charge(t, cost_.page_alloc + cost_.pte_update, sim::CostKind::kAllocZero);
-  const sim::Slot z = hw_.stream(t.clock, topo_.node_of_core(t.core),
-                                 phys_.node_of(frame), mem::kPageSize,
+  const sim::Slot z = hw_.stream(t.clock, local, node, mem::kPageSize,
                                  cost_.zero_rate_bytes_per_us, MemDir::kWrite);
   t.stats.add(sim::CostKind::kAllocZero, z.finish - t.clock);
   t.clock = z.finish;
 
   if (std::byte* d = phys_.data(frame)) std::memset(d, 0, mem::kPageSize);
 
-  pte.frame = frame;
   pte.flags = vm::Pte::kPresent | vm::Pte::kAccessed;
+  pte.map(frame, node);
   pte.restore_hw(vma.prot);
-  p.placement.inc(vpn, phys_.node_of(frame));
+  p.placement.inc(vpn, node);
   ++kstats_.minor_faults;
-  trace(t, EventType::kMinorFault, vpn, 1, topo::kInvalidNode, phys_.node_of(frame));
+  trace(t, EventType::kMinorFault, vpn, 1, topo::kInvalidNode, node);
 }
 
 sim::Slot Kernel::range_lock_reserve(ThreadCtx& t, Process& p, vm::Vaddr lo,
@@ -325,7 +325,7 @@ Kernel::MigrateResult Kernel::migrate_page_traced(const PageMover& how,
   const ThreadCtx& t = how.bill.t;
   const sim::Time begin = t.clock;
   const sim::Time billed = how.bill.billed();
-  const topo::NodeId from = phys_.node_of(pte.frame);
+  const topo::NodeId from = pte.node();
   const MigrateResult r = do_migrate_page(how, p, pte, vpn, target);
   // Per-page pipeline latency: the time billed for this page. Deferred
   // copies land in the batch tail, so those samples cover control only.
@@ -346,7 +346,7 @@ Kernel::MigrateResult Kernel::do_migrate_page(const PageMover& how, Process& p,
                                               topo::NodeId target) {
   const PageBill& bill = how.bill;
   ThreadCtx& t = bill.t;
-  const topo::NodeId from = phys_.node_of(pte.frame);
+  const topo::NodeId from = pte.node();
   if (how.engine != MigrateEngine::kStopAndCopy && txn_eligible(pte)) {
     // The transactional engine bills a ThreadCtx, so daemons run it on
     // their scratch context's clock. A degraded transaction left the page
@@ -394,16 +394,15 @@ Kernel::MigrateResult Kernel::do_migrate_page(const PageMover& how, Process& p,
 
   // One copy attempt: chained on the daemon's copy cursor, deferred into
   // the batch, or charged inline on the payer's clock.
-  const topo::NodeId to = phys_.node_of(new_frame);
   auto copy_once = [&] {
     if (bill.copy_cursor != nullptr) {
-      *bill.copy_cursor = hw_.copy(*bill.copy_cursor, from, to, mem::kPageSize,
+      *bill.copy_cursor = hw_.copy(*bill.copy_cursor, from, target, mem::kPageSize,
                                    cost_.kernel_copy_bytes_per_us)
                               .finish;
     } else if (bill.copies != nullptr) {
-      bill.copies->add(from, to, mem::kPageSize);
+      bill.copies->add(from, target, mem::kPageSize);
     } else {
-      const sim::Slot c = hw_.copy(t.clock, from, to, mem::kPageSize,
+      const sim::Slot c = hw_.copy(t.clock, from, target, mem::kPageSize,
                                    cost_.kernel_copy_bytes_per_us);
       t.stats.add(how.copy_kind, c.finish - t.clock);
       t.clock = c.finish;
@@ -417,7 +416,7 @@ Kernel::MigrateResult Kernel::do_migrate_page(const PageMover& how, Process& p,
     copy_once();
     charge_control(cost_.copy_backoff(r));
     ++kstats_.migration_retries;
-    trace(t, EventType::kMigrateRetry, vpn, 1, from, to);
+    trace(t, EventType::kMigrateRetry, vpn, 1, from, target);
   }
   copy_once();  // the final attempt, whether it succeeds or not
   if (!oc.ok) {
@@ -425,10 +424,10 @@ Kernel::MigrateResult Kernel::do_migrate_page(const PageMover& how, Process& p,
     // was never unmapped, so the page stays resident and valid.
     phys_.free(new_frame);
     ++kstats_.migrations_failed;
-    trace(t, EventType::kMigrateFail, vpn, 1, from, to);
+    trace(t, EventType::kMigrateFail, vpn, 1, from, target);
     return MigrateResult::kCopyFail;
   }
-  commit_page(p, pte, vpn, new_frame);
+  commit_page(p, pte, vpn, new_frame, target);
   return MigrateResult::kOk;
 }
 
@@ -458,10 +457,11 @@ void Kernel::populate_huge_block(ThreadCtx& t, Process& p, const vm::Vma& vma,
     const mem::FrameId f = alloc_user_frame(t, v, target);
     if (f == mem::kInvalidFrame) throw std::runtime_error{"simulated OOM (huge)"};
     if (std::byte* d = phys_.data(f)) std::memset(d, 0, mem::kPageSize);
-    pte.frame = f;
+    const topo::NodeId node = phys_.node_of(f);
     pte.flags = vm::Pte::kPresent | vm::Pte::kAccessed | vm::Pte::kHuge;
+    pte.map(f, node);
     pte.restore_hw(vma.prot);
-    p.placement.inc(v, phys_.node_of(f));
+    p.placement.inc(v, node);
   }
   ++kstats_.minor_faults;
 }
@@ -469,7 +469,7 @@ void Kernel::populate_huge_block(ThreadCtx& t, Process& p, const vm::Vma& vma,
 topo::NodeId Kernel::resolve_replica(ThreadCtx& t, Process& p, vm::Pte& pte,
                                      vm::Vpn vpn, topo::NodeId reader,
                                      CopyBatch* copies) {
-  const topo::NodeId home = phys_.node_of(pte.frame);
+  const topo::NodeId home = pte.node();
   if (reader == home) return home;
   const mem::FrameId existing = p.replicas.replica_on(vpn, reader);
   if (existing != mem::kInvalidFrame) return reader;
@@ -507,7 +507,7 @@ void Kernel::collapse_replicas(ThreadCtx& t, Process& p, vm::Pte& pte, vm::Vpn v
   // Home page moves to the writer if it is elsewhere (write locality) —
   // best-effort: under pressure the collapse still succeeds, just without
   // the locality gain.
-  if (phys_.node_of(pte.frame) != writer) {
+  if (pte.node() != writer) {
     migrate_page({{t}, MigrateEngine::kConfigured, cost_.nt_fault_control,
                   sim::CostKind::kReplicaControl, sim::CostKind::kReplicaCopy},
                  p, pte, vpn, writer);
@@ -603,8 +603,8 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
   if (pte.next_touch()) {
     ++kstats_.nexttouch_faults;
     const topo::NodeId local = topo_.node_of_core(t.core);
-    if (phys_.node_of(pte.frame) != local) {
-      const topo::NodeId was = phys_.node_of(pte.frame);
+    if (pte.node() != local) {
+      const topo::NodeId was = pte.node();
       if (migrate_page({{t, copies}, MigrateEngine::kConfigured,
                         cost_.nt_fault_control, sim::CostKind::kNextTouchControl,
                         sim::CostKind::kNextTouchCopy},
@@ -646,6 +646,19 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
   charge(t, cost_.pte_update + cost_.tlb_flush_local, sim::CostKind::kPageFault);
   pte.restore_hw(vma->prot);
   return false;
+}
+
+inline topo::NodeId Kernel::access_page(ThreadCtx& t, Process& p, vm::Pte& pte,
+                                        vm::Vpn vpn, bool writing,
+                                        topo::NodeId core_node,
+                                        CopyBatch& copies) {
+  if (writing) {
+    pte.set(vm::Pte::kDirty);
+    ++pte.write_gen;
+  } else if (pte.flags & vm::Pte::kReplica) {
+    return resolve_replica(t, p, pte, vpn, core_node, &copies);
+  }
+  return pte.node();
 }
 
 template <typename OnPage, typename OnFault>
@@ -716,13 +729,8 @@ void Kernel::walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Vaddr end
         stlb_write_ok = stlb_write_ok && (fl & vm::Pte::kHwWrite) != 0 &&
                         (writing || (fl & vm::Pte::kDirty) != 0);
       }
-      if (writing) {
-        pte->set(vm::Pte::kDirty);
-        ++pte->write_gen;
-      }
-      topo::NodeId node = phys_.node_of(pte->frame);
-      if ((pte->flags & vm::Pte::kReplica) && !writing)
-        node = resolve_replica(t, p, *pte, vpn, core_node, &copies);
+      const topo::NodeId node =
+          access_page(t, p, *pte, vpn, writing, core_node, copies);
       if (stlb_node == topo::kInvalidNode) {
         stlb_node = node;
       } else if (node != stlb_node) {
@@ -815,11 +823,26 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
   const sim::Time entry = t.clock;
   CopyBatch copies;
 
-  // Each row is one extent walk; its bytes land in per-node buckets that
-  // are charged in bulk at the end, so faults need no flush.
+  // Each row's bytes land in per-node buckets that are charged in bulk at
+  // the end, so faults need no flush. A row inside one page whose PTE
+  // already allows the access is what walk_extent would reduce to: one
+  // find and one access_page, no fault and no soft-TLB lookup (one page is
+  // below its admission size). Every other row is one extent walk.
+  vm::PageTable& pt = p.as.page_table();
+  const bool writing = prot_allows(want, vm::Prot::kWrite);
   std::vector<std::uint64_t> bytes_from(topo_.num_nodes(), 0);
   for (std::uint64_t r = 0; r < rows; ++r) {
     const vm::Vaddr row_start = base + r * stride_bytes;
+    const vm::Vpn vpn = vm::vpn_of(row_start);
+    if (vpn == vm::vpn_of(row_start + row_bytes - 1)) {
+      vm::Pte* pte = pt.find(vpn);
+      if (pte != nullptr && pte->hw_allows(want)) {
+        bytes_from[access_page(t, p, *pte, vpn, writing, core_node, copies)] +=
+            row_bytes;
+        ++res.pages;
+        continue;
+      }
+    }
     walk_extent(
         t, p, row_start, row_start + row_bytes, want, core_node, res, copies,
         [&](topo::NodeId node, std::uint64_t bytes) { bytes_from[node] += bytes; },
@@ -833,8 +856,7 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
       const auto scaled = static_cast<std::uint64_t>(
           static_cast<double>(bytes_from[n]) * traffic_scale + 0.5);
       charge_stream(t, n, scaled, stream_rate_bytes_per_us,
-                    prot_allows(want, vm::Prot::kWrite) ? MemDir::kWrite
-                                                        : MemDir::kRead);
+                    writing ? MemDir::kWrite : MemDir::kRead);
     }
   }
   migration_batch_tail(t, p, copies, sim::CostKind::kNextTouchCopy, base,
@@ -897,8 +919,8 @@ int Kernel::user_memcpy(ThreadCtx& t, vm::Vaddr dst, vm::Vaddr src,
     const vm::Pte* spte = pt.find(svpn);
     const vm::Pte* dpte = pt.find(vm::vpn_of(doff));
     assert(spte != nullptr && dpte != nullptr);
-    const topo::NodeId f = phys_.node_of(spte->frame);
-    const topo::NodeId to = phys_.node_of(dpte->frame);
+    const topo::NodeId f = spte->node();
+    const topo::NodeId to = dpte->node();
     if (f != run_from || to != run_to) flush();
     run_from = f;
     run_to = to;
@@ -923,7 +945,7 @@ std::uint64_t Kernel::release_frames(Process& p, vm::Vaddr addr,
       const vm::Vpn v = vpn++;
       if (!pte.present()) continue;
       for (mem::FrameId f : p.replicas.take(v)) phys_.free(f);
-      p.placement.dec(v, phys_.node_of(pte.frame));
+      p.placement.dec(v, pte.node());
       phys_.free(pte.frame);
       pte = vm::Pte{};
       ++released;
@@ -946,7 +968,7 @@ void Kernel::teardown_unmap(Pid pid, vm::Vaddr addr, std::uint64_t len) {
 topo::NodeId Kernel::page_node(Pid pid, vm::Vaddr addr) const {
   const vm::Pte* pte = proc(pid).as.page_table().find(vm::vpn_of(addr));
   if (pte == nullptr || !pte->present()) return topo::kInvalidNode;
-  return phys_.node_of(pte->frame);
+  return pte->node();
 }
 
 bool Kernel::peek(Pid pid, vm::Vaddr addr, std::span<std::byte> out) const {
@@ -997,7 +1019,7 @@ std::uint64_t Kernel::pages_on_node(Pid pid, vm::Vaddr addr, std::uint64_t len,
   auto scan = [&](vm::Vpn a, vm::Vpn b) {
     p.as.page_table().for_each_run(a, b, [&](vm::ConstPageRun run) {
       for (const vm::Pte& pte : run.ptes)
-        if (pte.present() && phys_.node_of(pte.frame) == node) ++count;
+        if (pte.present() && pte.node() == node) ++count;
     });
   };
   // Fully-covered chunks read one maintained counter each; only the partial
@@ -1039,6 +1061,8 @@ void Kernel::validate(Pid pid) const {
         if (!phys_.is_live(pte.frame))
           throw std::logic_error{"validate: present PTE references a dead frame"};
         claim(pte.frame, "pte");
+        if (pte.node() != phys_.node_of(pte.frame))
+          throw std::logic_error{"validate: PTE node bits disagree with its frame"};
         if (pte.next_touch() && pte.hw_allows(vm::Prot::kRead))
           throw std::logic_error{"validate: next-touch PTE with live hw read bit"};
         if (pte.numa_hint() && pte.hw_allows(vm::Prot::kRead))
@@ -1180,7 +1204,7 @@ std::string Kernel::numa_maps(Pid pid) const {
           for (const vm::Pte& pte : run.ptes) {
             if (!pte.present()) continue;
             ++present;
-            ++per_node[phys_.node_of(pte.frame)];
+            ++per_node[pte.node()];
           }
         });
     os << " anon=" << present;

@@ -229,8 +229,8 @@ SyscallResult Kernel::sys_mbind(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
       if (vma == nullptr || !vma->contains(vm::addr_of(v)))
         vma = p.as.find(vm::addr_of(v));
       const topo::NodeId want = policy.target_node(
-          vma->pgoff(v), phys_.node_of(pte.frame), topo_.num_nodes());
-      if (want == topo::kInvalidNode || want == phys_.node_of(pte.frame)) continue;
+          vma->pgoff(v), pte.node(), topo_.num_nodes());
+      if (want == topo::kInvalidNode || want == pte.node()) continue;
       if (migrate_page(mover, p, pte, v, want) == MigrateResult::kOk) {
         ++moved;
         ++kstats_.pages_migrated_move;
@@ -333,7 +333,7 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
       status[i] = -kEINVAL;  // no huge-page migration in this era
       continue;
     }
-    const topo::NodeId from = phys_.node_of(pte->frame);
+    const topo::NodeId from = pte->node();
     if (query_only) {
       status[i] = static_cast<int>(from);
       continue;
@@ -378,7 +378,7 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
     switch (migrate_page(mover, p, *m.pte, vm::vpn_of(chunk[m.i]), m.to)) {
       case MigrateResult::kOk:
         m.pte->clear(vm::Pte::kNextTouch);
-        status[m.i] = static_cast<int>(phys_.node_of(m.pte->frame));
+        status[m.i] = static_cast<int>(m.pte->node());
         ++kstats_.pages_migrated_move;
         break;
       case MigrateResult::kNoMem:
@@ -460,7 +460,7 @@ SyscallResult Kernel::sys_move_pages_ranged(ThreadCtx& t,
         if (!pte.present() || (pte.flags & vm::Pte::kHuge)) continue;
         charge(t, cost_.move_pages_range_page_control,
                sim::CostKind::kMovePagesControl);
-        if (phys_.node_of(pte.frame) == r.node) continue;
+        if (pte.node() == r.node) continue;
         if (migrate_page(mover, p, pte, v, r.node) == MigrateResult::kOk) {
           ++batch_moved;
           ++kstats_.pages_migrated_move;
@@ -567,7 +567,7 @@ SyscallResult Kernel::sys_migrate_pages(ThreadCtx& t, Pid target,
         charge(t, cost_.migrate_pages_page_control - cost_.migrate_pages_page_locked,
                sim::CostKind::kMigratePagesControl);
         if (pte.flags & vm::Pte::kHuge) continue;
-        const topo::NodeId n = phys_.node_of(pte.frame);
+        const topo::NodeId n = pte.node();
         if (dest_of[n] == topo::kInvalidNode || dest_of[n] == n) continue;
         batch.push_back({v, &pte, dest_of[n]});
         if (batch.size() >= kSyscallBatchPages) flush_batch();

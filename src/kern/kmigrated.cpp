@@ -85,7 +85,7 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
       ++vpn;
       if (!pte.present() || (pte.flags & vm::Pte::kHuge)) continue;
       const bool was_nt = pte.next_touch();
-      if (phys_.node_of(pte.frame) != node) {
+      if (pte.node() != node) {
         const MigrateResult r = migrate_page(mover, p, pte, vpn, node);
         if (r == MigrateResult::kDeferred) continue;  // left for a later pass
         if (r == MigrateResult::kOk) {

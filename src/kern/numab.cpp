@@ -159,7 +159,7 @@ void Kernel::numab_scan(ThreadCtx& t, Process& p) {
 void Kernel::numab_hint_fault(ThreadCtx& t, Process& p, const vm::Vma& vma,
                               vm::Pte& pte, vm::Vpn vpn) {
   const topo::NodeId local = topo_.node_of_core(t.core);
-  const topo::NodeId page_node = phys_.node_of(pte.frame);
+  const topo::NodeId page_node = pte.node();
   charge(t, cost_.numab_hint_fault, sim::CostKind::kNumaHint);
   ++kstats_.numab_hint_faults;
   if (page_node == local) ++kstats_.numab_hint_faults_local;
@@ -228,7 +228,7 @@ void Kernel::numab_flush_promotions(ThreadCtx& t, Process& p) {
     if (cfg_.tiers.enabled) {
       if (const vm::Pte* pte = p.as.page_table().find(first);
           pte != nullptr && pte->present())
-        from = phys_.node_of(pte->frame);
+        from = pte->node();
     }
     charge(t, cost_.kmigrated_submit, sim::CostKind::kNumaHint);
     trace(t, EventType::kNumaPromote, first, npages, topo::kInvalidNode, target);

@@ -101,7 +101,7 @@ std::uint64_t Kernel::tier_demote(ThreadCtx& t, Process& p, topo::NodeId node,
         if (pte.flags & (vm::Pte::kHuge | vm::Pte::kReplica | vm::Pte::kTxn |
                          vm::Pte::kNextTouch))
           continue;
-        if (phys_.node_of(pte.frame) != node) continue;
+        if (pte.node() != node) continue;
         if (require_idle && !(pte.numa_hint() &&
                               pte.numa_idle >= cfg_.tiers.demote_after_windows))
           continue;
@@ -141,7 +141,7 @@ std::uint64_t Kernel::tier_demote(ThreadCtx& t, Process& p, topo::NodeId node,
     // scan window cannot bounce it straight back up.
     auto reset_run = [&](vm::PageRun run) {
       for (vm::Pte& pte : run.ptes) {
-        if (!pte.present() || phys_.node_of(pte.frame) != target) continue;
+        if (!pte.present() || pte.node() != target) continue;
         pte.numa_last = vm::Pte::kNoNumaNode;
         pte.numa_idle = 0;
       }

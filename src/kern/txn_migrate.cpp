@@ -86,7 +86,7 @@ void TxnMigrator::do_shadow_copy(ThreadCtx& t) {
   hw_bits_ = pte->flags & (vm::Pte::kHwRead | vm::Pte::kHwWrite);
   marks_ = pte->flags & (vm::Pte::kNextTouch | vm::Pte::kNumaHint);
   k_.charge(t, k_.cost_.txn_shadow_control, control_kind_);
-  copy_pass(t, *pte, k_.phys_.node_of(pte->frame));
+  copy_pass(t, *pte, pte->node());
   state_ = TxnState::kWriteProtect;
 }
 
@@ -132,9 +132,9 @@ void TxnMigrator::do_commit(ThreadCtx& t) {
     return;
   }
   k_.charge(t, k_.cost_.txn_commit, control_kind_);
-  const topo::NodeId from = k_.phys_.node_of(pte->frame);
+  const topo::NodeId from = pte->node();
   k_.phys_.clear_shadow(shadow_);
-  k_.commit_page(k_.proc(pid_), *pte, vpn_, shadow_);
+  k_.commit_page(k_.proc(pid_), *pte, vpn_, shadow_, target_);
   shadow_ = mem::kInvalidFrame;
   pte->clear(vm::Pte::kTxn | vm::Pte::kHwRead | vm::Pte::kHwWrite);
   pte->set(hw_bits_);
@@ -153,9 +153,8 @@ void TxnMigrator::do_dirty_retry(ThreadCtx& t) {
   k_.charge(t, k_.cost_.txn_backoff(retries_), control_kind_);
   ++retries_;
   ++k_.kstats_.txn_dirty_retries;
-  k_.trace(t, EventType::kTxnDirtyRetry, vpn_, 1, k_.phys_.node_of(pte->frame),
-           target_);
-  copy_pass(t, *pte, k_.phys_.node_of(pte->frame));
+  k_.trace(t, EventType::kTxnDirtyRetry, vpn_, 1, pte->node(), target_);
+  copy_pass(t, *pte, pte->node());
   state_ = TxnState::kWriteProtect;
 }
 

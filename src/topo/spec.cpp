@@ -137,10 +137,13 @@ Topology Topology::from_spec(const std::string& spec) {
     if (!ok) fail("unknown key " + key, key, value);
   }
 
-  // Topology::build takes 1..64 nodes, and every core id must fit a CoreId.
+  // Topology::build takes 1..kMaxNodes nodes, and every core id must fit a
+  // CoreId.
+  static const std::string kNodesWant =
+      "an integer in 1.." + std::to_string(kMaxNodes);
   const auto nodes = static_cast<unsigned>(num(
       kv, "nodes", 0,
-      {.want = "an integer in 1..64", .lo = 1, .hi = 65, .integer = true}));
+      {.want = kNodesWant.c_str(), .lo = 1, .hi = kMaxNodes + 1.0, .integer = true}));
   const auto max_cores = static_cast<double>(
       std::numeric_limits<CoreId>::max() / std::max(nodes, 1u));
   const auto cores = static_cast<unsigned>(num(

@@ -42,7 +42,8 @@ Topology Topology::build(std::vector<NodeSpec> node_specs,
                          unsigned cores_per_node, const CoreSpec& core,
                          std::vector<LinkSpec> links) {
   const unsigned nodes = static_cast<unsigned>(node_specs.size());
-  if (nodes == 0 || nodes > 64) throw std::invalid_argument{"Topology: 1..64 nodes"};
+  if (nodes == 0 || nodes > kMaxNodes)
+    throw std::invalid_argument{"Topology: 1.." + std::to_string(kMaxNodes) + " nodes"};
   if (cores_per_node == 0) throw std::invalid_argument{"Topology: need cores"};
   for (const auto& l : links) {
     if (l.a >= nodes || l.b >= nodes || l.a == l.b)

@@ -28,6 +28,10 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 /// A set of NUMA nodes, as a bitmask (like Linux nodemask_t).
 using NodeMask = std::uint64_t;
 
+/// The most nodes a machine may have: the width of NodeMask. vm::Pte keeps a
+/// frame's node in a field sized for this limit.
+inline constexpr unsigned kMaxNodes = 64;
+
 constexpr NodeMask node_mask_of(NodeId n) { return NodeMask{1} << n; }
 constexpr bool mask_contains(NodeMask m, NodeId n) { return (m >> n) & 1; }
 
@@ -129,9 +133,10 @@ class Topology {
   ///   far_wr_bw                   (write bandwidth; default far_bw/2)
   /// Capacities for fast/far are in MB — device tiers are small by design.
   ///
-  /// Every number must be finite. nodes is an integer in 1..64 and cores an
-  /// integer >= 1 (nodes x cores < 2^32); bandwidths, ghz, flops_per_cycle,
-  /// dram_ns, fast_ns and far_ns are > 0; hop_ns and the sizes are >= 0.
+  /// Every number must be finite. nodes is an integer in 1..kMaxNodes and
+  /// cores an integer >= 1 (nodes x cores < 2^32); bandwidths, ghz,
+  /// flops_per_cycle, dram_ns, fast_ns and far_ns are > 0; hop_ns and the
+  /// sizes are >= 0.
   /// Throws topo::SpecError (derives std::invalid_argument) carrying the
   /// offending key and token.
   static Topology from_spec(const std::string& spec);

@@ -8,14 +8,17 @@ namespace numasim::vm {
 Vaddr AddressSpace::map(std::uint64_t len, Prot prot, const MemPolicy& policy,
                         std::string name, bool huge) {
   if (len == 0) throw std::invalid_argument{"AddressSpace::map: zero length"};
-  len = page_align_up(len);
   constexpr Vaddr kHugeSize = 2ull << 20;
-  if (huge) {
-    if (len % kHugeSize != 0)
-      throw std::invalid_argument{"AddressSpace::map: huge length not 2MiB-multiple"};
-    next_addr_ = (next_addr_ + kHugeSize - 1) & ~(kHugeSize - 1);
-  }
-  const Vaddr start = next_addr_;
+  const Vaddr start =
+      huge ? (next_addr_ + kHugeSize - 1) & ~(kHugeSize - 1) : next_addr_;
+  // Bound the length before rounding it: near 2^64 the rounding wraps. Both
+  // start and kUserTop are page-aligned, so a length that passes still ends
+  // at or below kUserTop once rounded.
+  if (start > kUserTop || len > kUserTop - start)
+    throw std::invalid_argument{"AddressSpace::map: ends past the user address space"};
+  len = page_align_up(len);
+  if (huge && len % kHugeSize != 0)
+    throw std::invalid_argument{"AddressSpace::map: huge length not 2MiB-multiple"};
   next_addr_ = start + len + mem::kPageSize;  // one guard page between mappings
 
   Vma vma;

@@ -54,10 +54,13 @@ class AddressSpace {
   /// Lowest address handed out by map(); below is an unmapped guard region
   /// so stray null-ish accesses fault.
   static constexpr Vaddr kMmapBase = 0x1000'0000ull;
+  /// End of the user address space: 47 bits, the x86-64 TASK_SIZE.
+  static constexpr Vaddr kUserTop = 1ull << 47;
 
   /// Create a VMA of `len` bytes (rounded up to pages). Returns its start.
   /// `huge` requests a 2 MiB-page mapping: len must be a 2 MiB multiple and
-  /// the returned address is 2 MiB aligned.
+  /// the returned address is 2 MiB aligned. Throws std::invalid_argument
+  /// for a zero length and for one that would end past kUserTop.
   Vaddr map(std::uint64_t len, Prot prot, const MemPolicy& policy,
             std::string name = {}, bool huge = false);
 

@@ -49,6 +49,16 @@ struct Pte {
   /// the migration; the verify step then sees the dirtied generation.
   static constexpr std::uint16_t kTxn = 1u << 9;
 
+  /// Bits 10-15 of `flags` hold the node of `frame` (like Linux's
+  /// page_to_nid, which reads the node out of page->flags), so a walk learns
+  /// where a page lives from its PTE alone. map() is their only writer; the
+  /// flag helpers below never touch them, and they mean nothing while the
+  /// PTE is not present.
+  static constexpr unsigned kNodeShift = 10;
+  static constexpr std::uint16_t kFlagMask = (1u << kNodeShift) - 1;
+  static_assert(topo::kMaxNodes - 1 <= (0xFFFFu >> kNodeShift),
+                "Pte node bits cannot hold every node id");
+
   /// Flags that make a page ineligible for the soft-TLB extent cache
   /// (kern/stlb.hpp): each marks pending per-page work — replica resolution,
   /// a migration transaction, a next-touch or NUMA-hint fault — that the
@@ -61,6 +71,7 @@ struct Pte {
   static constexpr std::uint8_t kNoNumaNode = 0xFF;
 
   mem::FrameId frame = mem::kInvalidFrame;
+  /// The flag bits above, and the node bits (see kNodeShift).
   std::uint16_t flags = 0;
   /// Node of the last hint fault on this page (two-reference confirmation,
   /// like page_cpupid_last); kNoNumaNode until the first hint fault.
@@ -75,6 +86,14 @@ struct Pte {
   /// window. Generation counting subsumes timestamping the last write: any
   /// write after the snapshot changes the generation.
   std::uint32_t write_gen = 0;
+
+  /// Node of `frame`, from the node bits.
+  topo::NodeId node() const { return flags >> kNodeShift; }
+  /// Point this PTE at frame `f` on node `n`; the flag bits stay as they are.
+  void map(mem::FrameId f, topo::NodeId n) {
+    frame = f;
+    flags = static_cast<std::uint16_t>((flags & kFlagMask) | (n << kNodeShift));
+  }
 
   bool present() const { return flags & kPresent; }
   bool next_touch() const { return flags & kNextTouch; }

@@ -49,6 +49,9 @@ TEST_F(HugePageTest, MappingIsAlignedAndBlockPopulated) {
   // Later touches inside the block are fault-free.
   const AccessResult r2 = k_.access(t, a + kHugeSize / 2, 4096, vm::Prot::kWrite, 3500.0);
   EXPECT_EQ(r2.minor_faults, 0u);
+  // Every PTE of the block carries its frame's node.
+  EXPECT_EQ(k_.page_node(pid_, a + kHugeSize - mem::kPageSize), 1u);
+  EXPECT_NO_THROW(k_.validate(pid_));
 }
 
 TEST_F(HugePageTest, FarFewerFaultsThanSmallPages) {
@@ -88,6 +91,7 @@ TEST_F(HugePageTest, RespectsPolicyPlacement) {
                   vm::MemPolicy::bind(topo::node_mask_of(2)), "h", true);
   k_.access(t, a, 8, vm::Prot::kWrite, 3500.0);
   EXPECT_EQ(k_.pages_on_node(pid_, a, kHugeSize, 2), kHugePages);
+  EXPECT_NO_THROW(k_.validate(pid_));
 }
 
 TEST_F(HugePageTest, MovePagesRefusesHugePages) {

@@ -5,8 +5,11 @@
 // these tests drive it directly with hand-built ThreadCtx objects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "kern/kernel.hpp"
@@ -572,6 +575,166 @@ TEST_F(KernelTest, PlacementCountsMatchPerPageWalkAcrossChunks) {
             0);
   check_all(a, (npages - 300) * mem::kPageSize);
 }
+
+// access_strided is defined by one access() per row, in row order: whichever
+// path a row takes inside it (the one-page fast path or the extent walker),
+// it must leave the same page table, fault counts and per-node bytes as a
+// twin kernel that makes those per-row calls. NUMA-hint pages are left out:
+// access() flushes numab promotions after every row, so there the twin is
+// not a reference.
+struct StridedShape {
+  std::uint64_t row_bytes;
+  std::uint64_t stride;
+  std::uint64_t offset;  ///< of row 0 within its page
+};
+
+enum class StridedPrep : std::uint8_t {
+  kUnpopulated,  ///< every row first-touches
+  kPopulated,    ///< two pages in three already written from node 0
+  kNextTouch,    ///< all written from node 0, every other page NT-armed
+  kReplicated,   ///< all written from node 0, then armed for replication
+};
+
+struct StridedSide {
+  Kernel k{KernelConfig{.topology = topo::Topology::quad_opteron(),
+                        .backing = mem::Backing::kPhantom}};
+  Pid pid = k.create_process("twin");
+  vm::Vaddr a = 0;
+
+  ThreadCtx on(topo::CoreId core) const {
+    ThreadCtx t;
+    t.pid = pid;
+    t.core = core;
+    return t;
+  }
+
+  void prepare(StridedPrep prep, std::uint64_t pages) {
+    ThreadCtx t = on(0);
+    a = k.sys_mmap(t, pages * mem::kPageSize, vm::Prot::kReadWrite);
+    if (prep == StridedPrep::kUnpopulated) return;
+    for (std::uint64_t i = 0; i < pages; ++i) {
+      const vm::Vaddr page = a + i * mem::kPageSize;
+      if (prep == StridedPrep::kPopulated && i % 3 == 2) continue;
+      k.access(t, page, mem::kPageSize, vm::Prot::kWrite, 3500.0);
+      if (prep == StridedPrep::kNextTouch && i % 2 == 0) {
+        ASSERT_EQ(k.sys_madvise(t, page, mem::kPageSize, Advice::kMigrateOnNextTouch), 0);
+      }
+    }
+    if (prep == StridedPrep::kReplicated) {
+      ASSERT_EQ(k.sys_madvise(t, a, pages * mem::kPageSize, Advice::kReplicate), 0);
+    }
+  }
+};
+
+class StridedTwinTest
+    : public ::testing::TestWithParam<std::tuple<StridedShape, StridedPrep, vm::Prot>> {};
+
+TEST_P(StridedTwinTest, MatchesOneAccessPerRow) {
+  const auto [shape, prep, want] = GetParam();
+  constexpr std::uint64_t kRows = 24;
+  const std::uint64_t pages =
+      (shape.offset + (kRows - 1) * shape.stride + shape.row_bytes) / mem::kPageSize + 1;
+  StridedSide s;
+  StridedSide w;
+  s.prepare(prep, pages);
+  w.prepare(prep, pages);
+  ASSERT_EQ(s.a, w.a);
+  const vm::Vaddr base = s.a + shape.offset;
+  const unsigned nodes = topo::Topology::quad_opteron().num_nodes();
+
+  // The first pass (from node 1) faults wherever the prep left work; the
+  // second (from node 2) finds every row's pages mapped.
+  for (const topo::CoreId core : {4u, 8u}) {
+    ThreadCtx ts = s.on(core);
+    ThreadCtx tw = w.on(core);
+    std::vector<std::uint64_t> bytes;
+    const AccessResult rs = s.k.access_strided(ts, base, kRows, shape.row_bytes,
+                                               shape.stride, want, 3500.0, 1.0, &bytes);
+    AccessResult rw;
+    std::vector<std::uint64_t> twin_bytes(nodes, 0);
+    for (std::uint64_t r = 0; r < kRows; ++r) {
+      const vm::Vaddr row = base + r * shape.stride;
+      const vm::Vaddr row_end = row + shape.row_bytes;
+      const AccessResult one = w.k.access(tw, row, shape.row_bytes, want, 0.0);
+      rw.pages += one.pages;
+      rw.minor_faults += one.minor_faults;
+      rw.nexttouch_migrations += one.nexttouch_migrations;
+      rw.nexttouch_hits_local += one.nexttouch_hits_local;
+      rw.sigsegv_delivered += one.sigsegv_delivered;
+      for (vm::Vpn v = vm::vpn_of(row); v <= vm::vpn_of(row_end - 1); ++v) {
+        const vm::Vaddr lo = std::max(row, vm::addr_of(v));
+        const vm::Vaddr hi = std::min(row_end, vm::addr_of(v) + mem::kPageSize);
+        twin_bytes[w.k.page_node(w.pid, vm::addr_of(v))] += hi - lo;
+      }
+    }
+    EXPECT_EQ(rs.pages, rw.pages) << "core " << core;
+    EXPECT_EQ(rs.minor_faults, rw.minor_faults) << "core " << core;
+    EXPECT_EQ(rs.nexttouch_migrations, rw.nexttouch_migrations) << "core " << core;
+    EXPECT_EQ(rs.nexttouch_hits_local, rw.nexttouch_hits_local) << "core " << core;
+    EXPECT_EQ(rs.sigsegv_delivered, rw.sigsegv_delivered) << "core " << core;
+    // A replicated read is served by the reader's replica, not by the home
+    // node page_node reports, so there the replicas are compared instead.
+    if (prep != StridedPrep::kReplicated) {
+      EXPECT_EQ(bytes, twin_bytes) << "core " << core;
+    }
+  }
+
+  EXPECT_EQ(s.k.stats().minor_faults, w.k.stats().minor_faults);
+  EXPECT_EQ(s.k.stats().nexttouch_faults, w.k.stats().nexttouch_faults);
+  EXPECT_EQ(s.k.stats().pages_migrated_nexttouch, w.k.stats().pages_migrated_nexttouch);
+  EXPECT_EQ(s.k.stats().replica_pages, w.k.stats().replica_pages);
+  EXPECT_EQ(s.k.replica_pages(s.pid), w.k.replica_pages(w.pid));
+  if (prep == StridedPrep::kReplicated) {
+    EXPECT_GT(s.k.replica_pages(s.pid), 0u);
+  }
+  // Rows are far below the soft-TLB admission size on both sides.
+  EXPECT_EQ(s.k.stats().stlb_hits + s.k.stats().stlb_misses, 0u);
+  EXPECT_EQ(w.k.stats().stlb_hits + w.k.stats().stlb_misses, 0u);
+
+  const vm::PageTable& ps = s.k.address_space(s.pid).page_table();
+  const vm::PageTable& pw = w.k.address_space(w.pid).page_table();
+  for (vm::Vpn v = vm::vpn_of(s.a); v < vm::vpn_of(s.a) + pages; ++v) {
+    const vm::Pte* a = ps.find(v);
+    const vm::Pte* b = pw.find(v);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "vpn " << v;
+    if (a == nullptr) continue;
+    EXPECT_EQ(a->flags, b->flags) << "vpn " << v;  // flag and node bits
+    EXPECT_EQ(a->write_gen, b->write_gen) << "vpn " << v;
+  }
+  EXPECT_NO_THROW(s.k.validate(s.pid));
+  EXPECT_NO_THROW(w.k.validate(w.pid));
+}
+
+std::string strided_case_name(
+    const ::testing::TestParamInfo<StridedTwinTest::ParamType>& info) {
+  const auto& [shape, prep, want] = info.param;
+  static constexpr const char* kPrep[] = {"unpopulated", "populated", "nexttouch",
+                                          "replicated"};
+  return "row" + std::to_string(shape.row_bytes) + "_stride" +
+         std::to_string(shape.stride) + "_off" + std::to_string(shape.offset) + "_" +
+         kPrep[static_cast<int>(prep)] + (want == vm::Prot::kWrite ? "_write" : "_read");
+}
+
+// 512 B, 1 KiB and 4 KiB rows at page-multiple strides, and rows that
+// straddle a page boundary (1 KiB from 3.5 KiB in, 4 KiB from 2 KiB in).
+const auto kStridedShapes = ::testing::Values(
+    StridedShape{512, mem::kPageSize, 0}, StridedShape{1024, 2 * mem::kPageSize, 0},
+    StridedShape{4096, mem::kPageSize, 0}, StridedShape{1024, mem::kPageSize, 3584},
+    StridedShape{4096, 2 * mem::kPageSize, 2048});
+
+INSTANTIATE_TEST_SUITE_P(
+    ReadsAndWrites, StridedTwinTest,
+    ::testing::Combine(kStridedShapes,
+                       ::testing::Values(StridedPrep::kUnpopulated,
+                                         StridedPrep::kPopulated,
+                                         StridedPrep::kNextTouch),
+                       ::testing::Values(vm::Prot::kRead, vm::Prot::kWrite)),
+    strided_case_name);
+INSTANTIATE_TEST_SUITE_P(
+    ReplicatedReads, StridedTwinTest,
+    ::testing::Combine(kStridedShapes, ::testing::Values(StridedPrep::kReplicated),
+                       ::testing::Values(vm::Prot::kRead)),
+    strided_case_name);
 
 }  // namespace
 }  // namespace numasim::kern

@@ -182,6 +182,26 @@ TEST(Kernel, ValidateCatchesDoubleMappedFrame) {
   EXPECT_NO_THROW(k.validate(pid));
 }
 
+TEST(Kernel, ValidateCatchesStaleNodeBits) {
+  kern::Kernel k(kern::KernelConfig{.topology = topo::Topology::quad_opteron(),
+                                    .backing = mem::Backing::kPhantom});
+  const kern::Pid pid = k.create_process();
+  kern::ThreadCtx t;
+  t.pid = pid;
+  t.core = 4;  // node 1
+  const vm::Vaddr a = k.sys_mmap(t, 2 * mem::kPageSize, vm::Prot::kReadWrite);
+  k.access(t, a, 2 * mem::kPageSize, vm::Prot::kWrite, 3500.0);
+  vm::Pte* pte = k.address_space(pid).page_table().find(vm::vpn_of(a) + 1);
+  ASSERT_NE(pte, nullptr);
+  ASSERT_EQ(pte->node(), 1u);
+  ASSERT_EQ(k.page_node(pid, a + mem::kPageSize), 1u);
+  const std::uint16_t flags = pte->flags;
+  pte->map(pte->frame, 2);
+  EXPECT_NE(validate_error(k, pid).find("node bits"), std::string::npos);
+  pte->flags = flags;
+  EXPECT_NO_THROW(k.validate(pid));
+}
+
 TEST(Kernel, ValidateCatchesDeadFrame) {
   kern::Kernel k(kern::KernelConfig{.topology = topo::Topology::quad_opteron(),
                                     .backing = mem::Backing::kPhantom});

@@ -151,9 +151,10 @@ TEST(PageRun, FlagBoundarySegmentation) {
 }
 
 TEST(Pte, StaysWithinCompactBudget) {
-  // Tentpole (d): per-page metadata is compressed so million-page address
-  // spaces stay cache-resident. write_gen subsumes the old last_write stamp.
-  EXPECT_LE(sizeof(Pte), 16u);
+  // Per-page metadata is compressed so million-page address spaces stay
+  // cache-resident. write_gen subsumes the old last_write stamp, and the
+  // frame's node rides in the spare high bits of flags.
+  EXPECT_EQ(sizeof(Pte), 12u);
 }
 
 }  // namespace

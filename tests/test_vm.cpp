@@ -20,6 +20,35 @@ TEST(Pte, FlagHelpers) {
   EXPECT_FALSE(pte.hw_allows(Prot::kRead));
   pte.set(Pte::kNextTouch);
   EXPECT_TRUE(pte.next_touch());
+
+  // map() writes the frame and the node bits and keeps every flag bit.
+  const std::uint16_t flags = pte.flags;
+  pte.map(7, 5);
+  EXPECT_EQ(pte.frame, 7u);
+  EXPECT_EQ(pte.node(), 5u);
+  EXPECT_EQ(pte.flags & Pte::kFlagMask, flags);
+  pte.map(8, topo::kMaxNodes - 1);
+  EXPECT_EQ(pte.node(), topo::kMaxNodes - 1);
+  EXPECT_EQ(pte.flags & Pte::kFlagMask, flags);
+  pte.map(9, 0);
+  EXPECT_EQ(pte.node(), 0u);
+  EXPECT_EQ(pte.flags & Pte::kFlagMask, flags);
+
+  // The flag helpers keep the node bits, whichever flags they touch.
+  pte.map(9, 3);
+  pte.set(Pte::kFlagMask);
+  EXPECT_EQ(pte.node(), 3u);
+  EXPECT_EQ(pte.flags & Pte::kFlagMask, Pte::kFlagMask);
+  pte.clear(Pte::kFlagMask);
+  EXPECT_EQ(pte.node(), 3u);
+  EXPECT_EQ(pte.flags & Pte::kFlagMask, 0u);
+  pte.set(Pte::kPresent | Pte::kTxn);
+  pte.restore_hw(Prot::kReadWrite);
+  EXPECT_EQ(pte.node(), 3u);
+  EXPECT_TRUE(pte.hw_allows(Prot::kReadWrite));
+  pte.restore_hw(Prot::kNone);
+  EXPECT_EQ(pte.node(), 3u);
+  EXPECT_EQ(pte.flags & Pte::kFlagMask, Pte::kPresent | Pte::kTxn);
 }
 
 TEST(Prot, Lattice) {
@@ -67,6 +96,29 @@ TEST(AddressSpace, MapAlignsAndSeparates) {
   EXPECT_TRUE(as.range_mapped(b, mem::kPageSize * 3));
   EXPECT_FALSE(as.range_mapped(b, mem::kPageSize * 4));
   EXPECT_THROW(as.map(0, Prot::kRead, {}), std::invalid_argument);
+}
+
+TEST(AddressSpace, MapRejectsLengthsPastTheUserAddressSpace) {
+  AddressSpace as;
+  // Rounded up to pages, 2^64 - 101 wraps to 0, and 2^63 ends below its
+  // start: neither may hand out an address it did not map.
+  EXPECT_THROW(as.map(~std::uint64_t{0} - 100, Prot::kRead, {}),
+               std::invalid_argument);
+  EXPECT_THROW(as.map(std::uint64_t{1} << 63, Prot::kRead, {}),
+               std::invalid_argument);
+  EXPECT_THROW(as.map(AddressSpace::kUserTop, Prot::kRead, {}),
+               std::invalid_argument);
+  EXPECT_EQ(as.vma_count(), 0u);
+
+  // A rejected length leaves the layout as it was; the largest length that
+  // still fits ends exactly at kUserTop.
+  const Vaddr a = as.map(mem::kPageSize, Prot::kRead, {});
+  EXPECT_EQ(a, AddressSpace::kMmapBase);
+  const Vaddr top = AddressSpace::kUserTop - (a + 2 * mem::kPageSize);
+  const Vaddr b = as.map(top - mem::kPageSize + 1, Prot::kRead, {});
+  ASSERT_NE(as.find(b), nullptr);
+  EXPECT_EQ(as.find(b)->end, AddressSpace::kUserTop);
+  EXPECT_THROW(as.map(1, Prot::kRead, {}), std::invalid_argument);
 }
 
 TEST(AddressSpace, ForRangeSplitsAndMergesBack) {
