@@ -475,7 +475,9 @@ class Kernel {
   /// Total replica pages currently alive for `pid` (extension feature).
   std::uint64_t replica_pages(Pid pid) const { return proc(pid).replicas.total_replicas(); }
 
-  /// Count of present pages in range whose frame lives on `node`.
+  /// Count of present pages in range whose frame lives on `node`; 0 for an
+  /// empty range. The range is clamped at the end of the highest mapping
+  /// (so at kUserTop at most).
   std::uint64_t pages_on_node(Pid pid, vm::Vaddr addr, std::uint64_t len,
                               topo::NodeId node) const;
   /// numa_maps-style text report for a process.
@@ -483,8 +485,9 @@ class Kernel {
 
   /// Consistency audit for tests and fuzzing: every present PTE references a
   /// live frame, every replica frame is live and distinct from its home,
-  /// and the per-node used-frame counts equal what the page tables +
-  /// replica tables reference. Throws std::logic_error on violation.
+  /// the per-node used-frame counts equal what the page tables + replica
+  /// tables reference, and the allocator's books balance (PhysMem::audit).
+  /// Throws std::logic_error on violation.
   void validate(Pid pid) const;
 
   /// Soft-TLB audit: additionally re-resolves every *current-generation*

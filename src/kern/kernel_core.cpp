@@ -1013,9 +1013,15 @@ bool Kernel::poke(Pid pid, vm::Vaddr addr, std::span<const std::byte> in) {
 std::uint64_t Kernel::pages_on_node(Pid pid, vm::Vaddr addr, std::uint64_t len,
                                     topo::NodeId node) const {
   const Process& p = proc(pid);
+  // Clamp the end at the highest mapping: no page lies above it, the chunk
+  // loop below then never walks unmapped address space past it, and near
+  // 2^64 `addr + len` would wrap.
+  const vm::Vaddr top = p.as.mapped_top();
+  const vm::Vaddr end = addr < top && len < top - addr ? addr + len : top;
+  if (addr >= end) return 0;
   std::uint64_t count = 0;
   const vm::Vpn vbegin = vm::vpn_of(addr);
-  const vm::Vpn vend = vm::vpn_of(addr + len - 1) + 1;
+  const vm::Vpn vend = vm::vpn_of(end - 1) + 1;
   auto scan = [&](vm::Vpn a, vm::Vpn b) {
     p.as.page_table().for_each_run(a, b, [&](vm::ConstPageRun run) {
       for (const vm::Pte& pte : run.ptes)
@@ -1137,8 +1143,8 @@ void Kernel::validate(Pid pid) const {
       if (row[n] != want) placement_mismatch(key, n, want, row[n]);
     }
   });
-  // Per-tier occupancy bookkeeping must agree with the per-node pools.
-  phys_.audit_tiers();
+  // The allocator's own books: tier totals, used counts, free stacks.
+  phys_.audit();
 }
 
 void Kernel::validate(const ThreadCtx& t) const {

@@ -31,7 +31,7 @@ vm::Vaddr Kernel::sys_mmap(ThreadCtx& t, std::uint64_t len, vm::Prot prot,
 
 SyscallResult Kernel::sys_munmap(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len) {
   Process& p = proc(t.pid);
-  if (len == 0) return -kEINVAL;
+  if (len == 0 || !vm::AddressSpace::in_user_range(addr, len)) return -kEINVAL;
   charge(t, cost_.syscall_entry, sim::CostKind::kSyscallEntry);
   if (cfg_.lock_model != LockModel::kRange)
     charge(t, cost_.munmap_base, sim::CostKind::kSyscallEntry);

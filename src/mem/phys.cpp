@@ -31,9 +31,17 @@ PhysMem::PhysMem(const topo::Topology& topo, Backing backing,
   }
 }
 
-FrameId PhysMem::alloc_on(topo::NodeId node, bool use_reserve) {
-  assert(node < per_node_.size());
-  return take_frame(node, use_reserve);
+FrameId PhysMem::new_frame(topo::NodeId node) {
+  // Ids at or past FreeStack::kIdLimit would collide with its run headers
+  // (and, further on, wrap into kInvalidFrame).
+  if (frames_.size() >= FreeStack::kIdLimit)
+    throw std::length_error{"PhysMem: frame ids exhausted (" +
+                            std::to_string(FreeStack::kIdLimit) + " frames)"};
+  const auto id = static_cast<FrameId>(frames_.size());
+  frames_.push_back(static_cast<std::uint8_t>(node | kInUse));
+  if (backing_ == Backing::kMaterialized)
+    data_.push_back(std::make_unique<std::byte[]>(kPageSize));
+  return id;
 }
 
 FrameId PhysMem::alloc_near(topo::NodeId preferred, bool use_reserve) {
@@ -71,9 +79,9 @@ void PhysMem::set_node_capacity(topo::NodeId n, std::uint64_t frames) {
 
 void PhysMem::mark_shadow(FrameId f) {
   assert(is_live(f));
-  if (!(state_[f] & kShadow)) {
-    state_[f] |= kShadow;
-    ++per_node_[node_[f]].shadow;
+  if (!(frames_[f] & kShadow)) {
+    frames_[f] |= kShadow;
+    ++per_node_[node_of(f)].shadow;
   }
 }
 
@@ -90,17 +98,45 @@ std::uint64_t PhysMem::tier_capacity_frames(topo::MemTier t) const {
   return sum;
 }
 
-void PhysMem::audit_tiers() const {
+void PhysMem::audit() const {
+  auto fail = [](const std::string& what) {
+    throw std::logic_error{"PhysMem::audit: " + what};
+  };
   std::array<std::uint64_t, 3> want{};
   for (topo::NodeId n = 0; n < per_node_.size(); ++n)
     want[static_cast<std::size_t>(node_tier_[n])] += per_node_[n].used;
   for (std::size_t i = 0; i < want.size(); ++i) {
     if (want[i] != tier_used_[i])
-      throw std::logic_error{
-          "PhysMem::audit_tiers: tier " +
-          std::string{topo::mem_tier_name(static_cast<topo::MemTier>(i))} +
-          " accounts " + std::to_string(tier_used_[i]) + " used frames, nodes sum to " +
-          std::to_string(want[i])};
+      fail("tier " + std::string{topo::mem_tier_name(static_cast<topo::MemTier>(i))} +
+           " accounts " + std::to_string(tier_used_[i]) + " used frames, nodes sum to " +
+           std::to_string(want[i]));
+  }
+
+  // Frame ids homed on each node, and how many of them are live.
+  std::array<std::uint64_t, kNodeMask + 1> homed{}, live{};
+  for (const std::uint8_t b : frames_) {
+    ++homed[b & kNodeMask];
+    if (b & kInUse) ++live[b & kNodeMask];
+  }
+  std::vector<bool> seen(frames_.size());
+  for (topo::NodeId n = 0; n < per_node_.size(); ++n) {
+    const NodePool& p = per_node_[n];
+    const std::string node = "node " + std::to_string(n);
+    if (live[n] != p.used)
+      fail(node + " counts " + std::to_string(p.used) + " used frames, " +
+           std::to_string(live[n]) + " are live");
+    std::uint64_t held = 0;
+    p.free_list.for_each([&](FrameId f) {
+      if (f >= frames_.size() || node_of(f) != n || is_live(f) || seen[f])
+        fail(node + " free stack holds frame " + std::to_string(f) +
+             ", which is not one of the node's free frames");
+      seen[f] = true;
+      ++held;
+    });
+    if (held != p.free_list.size() || held != homed[n] - p.used)
+      fail(node + " free stack holds " + std::to_string(held) + " frames (size " +
+           std::to_string(p.free_list.size()) + "), " +
+           std::to_string(homed[n] - p.used) + " are free");
   }
 }
 

@@ -11,10 +11,7 @@ Vaddr AddressSpace::map(std::uint64_t len, Prot prot, const MemPolicy& policy,
   constexpr Vaddr kHugeSize = 2ull << 20;
   const Vaddr start =
       huge ? (next_addr_ + kHugeSize - 1) & ~(kHugeSize - 1) : next_addr_;
-  // Bound the length before rounding it: near 2^64 the rounding wraps. Both
-  // start and kUserTop are page-aligned, so a length that passes still ends
-  // at or below kUserTop once rounded.
-  if (start > kUserTop || len > kUserTop - start)
+  if (!in_user_range(start, len))
     throw std::invalid_argument{"AddressSpace::map: ends past the user address space"};
   len = page_align_up(len);
   if (huge && len % kHugeSize != 0)
@@ -45,6 +42,7 @@ void AddressSpace::split_at(Vaddr addr) {
 }
 
 std::uint64_t AddressSpace::unmap(Vaddr addr, std::uint64_t len) {
+  assert(in_user_range(addr, len));
   const Vaddr start = page_align_down(addr);
   const Vaddr end = page_align_up(addr + len);
   split_at(start);
@@ -76,6 +74,7 @@ const Vma* AddressSpace::find(Vaddr addr) const {
 }
 
 bool AddressSpace::range_mapped(Vaddr addr, std::uint64_t len) const {
+  if (!in_user_range(addr, len)) return false;
   Vaddr cur = page_align_down(addr);
   const Vaddr end = page_align_up(addr + len);
   while (cur < end) {

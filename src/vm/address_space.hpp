@@ -57,6 +57,14 @@ class AddressSpace {
   /// End of the user address space: 47 bits, the x86-64 TASK_SIZE.
   static constexpr Vaddr kUserTop = 1ull << 47;
 
+  /// True when [addr, addr+len) ends at or below kUserTop (Linux's
+  /// `len > TASK_SIZE - addr` check). Bounding the length before any
+  /// rounding keeps `addr + len` from wrapping past 2^64; kUserTop is
+  /// page-aligned, so a range that passes still ends there once rounded.
+  static bool in_user_range(Vaddr addr, std::uint64_t len) {
+    return addr <= kUserTop && len <= kUserTop - addr;
+  }
+
   /// Create a VMA of `len` bytes (rounded up to pages). Returns its start.
   /// `huge` requests a 2 MiB-page mapping: len must be a 2 MiB multiple and
   /// the returned address is 2 MiB aligned. Throws std::invalid_argument
@@ -64,15 +72,17 @@ class AddressSpace {
   Vaddr map(std::uint64_t len, Prot prot, const MemPolicy& policy,
             std::string name = {}, bool huge = false);
 
-  /// Remove VMAs overlapping [addr, addr+len). The caller (kernel) must have
-  /// freed the frames already. Returns number of pages unmapped.
+  /// Remove VMAs overlapping [addr, addr+len), which must be in_user_range.
+  /// The caller (kernel) must have freed the frames already. Returns number
+  /// of pages unmapped.
   std::uint64_t unmap(Vaddr addr, std::uint64_t len);
 
   /// VMA containing `addr`, or nullptr.
   Vma* find(Vaddr addr);
   const Vma* find(Vaddr addr) const;
 
-  /// True when every byte of [addr, addr+len) lies inside some VMA.
+  /// True when every byte of [addr, addr+len) lies inside some VMA; false
+  /// for a range that ends past kUserTop.
   bool range_mapped(Vaddr addr, std::uint64_t len) const;
 
   /// Apply `fn` to each VMA overlapping [start, end), splitting at the
@@ -84,6 +94,11 @@ class AddressSpace {
   void for_each(const std::function<void(const Vma&)>& fn) const;
 
   unsigned vma_count() const { return static_cast<unsigned>(vmas_.size()); }
+  /// End of the highest VMA (kMmapBase when nothing is mapped): no page
+  /// lies at or above it, and it is at most kUserTop.
+  Vaddr mapped_top() const {
+    return vmas_.empty() ? kMmapBase : vmas_.rbegin()->second.end;
+  }
 
   PageTable& page_table() { return pt_; }
   const PageTable& page_table() const { return pt_; }

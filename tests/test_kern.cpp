@@ -441,6 +441,53 @@ TEST_F(KernelTest, SyscallErrorReturns) {
   EXPECT_EQ(k_.sys_migrate_pages(t, pid_, 0, 2), -kEINVAL);
 }
 
+TEST_F(KernelTest, RangeCallsRejectAnEndThatWrapsPast2To64) {
+  ThreadCtx t = ctx_on(0);
+  const std::uint64_t len16 = 16 * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t, len16, vm::Prot::kReadWrite);
+  const vm::Vaddr b = k_.sys_mmap(t, len16, vm::Prot::kReadWrite);
+  ASSERT_LT(a, b);
+  k_.access(t, a, len16, vm::Prot::kWrite, 3500.0);
+  k_.access(t, b, len16, vm::Prot::kWrite, 3500.0);
+  // 2^64 - b + a + 4096: b + len wraps to a + 4096, inside the first mapping.
+  const std::uint64_t len = a + mem::kPageSize - b;
+  ASSERT_EQ(b + len, a + mem::kPageSize);
+
+  EXPECT_EQ(k_.sys_madvise(t, b, len, Advice::kMigrateOnNextTouch), -kENOMEM);
+  EXPECT_EQ(k_.sys_mprotect(t, b, len, vm::Prot::kRead), -kENOMEM);
+  EXPECT_EQ(k_.sys_mbind(t, b, len, vm::MemPolicy::bind(topo::node_mask_of(1)),
+                         /*move_existing=*/true),
+            -kENOMEM);
+  const Kernel::MoveRange r{b, len, 1};
+  EXPECT_EQ(k_.sys_move_pages_ranged(t, {&r, 1}), -kEFAULT);
+  EXPECT_EQ(k_.sys_move_pages_async(t, {&r, 1}), -kEFAULT);
+  EXPECT_EQ(k_.sys_munmap(t, b, len), -kEINVAL);
+
+  EXPECT_EQ(k_.address_space(pid_).vma_count(), 2u);
+  for (vm::Vaddr base : {a, b})
+    for (vm::Vaddr p : pages_of(base, len16)) EXPECT_EQ(k_.page_node(pid_, p), 0u);
+  // Still writable: mprotect changed nothing either.
+  k_.access(t, a, len16, vm::Prot::kWrite, 3500.0);
+  k_.access(t, b, len16, vm::Prot::kWrite, 3500.0);
+  k_.validate(pid_);
+}
+
+TEST_F(KernelTest, PagesOnNodeOfAnEmptyRangeIsZero) {
+  ThreadCtx t = ctx_on(0);
+  const std::uint64_t len = 4 * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
+  k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
+  EXPECT_EQ(k_.pages_on_node(pid_, a, len, 0), 4u);
+  EXPECT_EQ(k_.pages_on_node(pid_, a + 100, 1, 0), 1u);
+  ASSERT_EQ(k_.pages_on_node(pid_, a + 100, 0, 0), 0u);
+  // At address 0, `addr + len - 1` would wrap to 2^64 - 1.
+  EXPECT_EQ(k_.pages_on_node(pid_, 0, 0, 0), 0u);
+  // A range ending past the highest mapping, or past 2^64, is clamped.
+  EXPECT_EQ(k_.pages_on_node(pid_, a, ~std::uint64_t{0} - a, 0), 4u);
+  EXPECT_EQ(k_.pages_on_node(pid_, a + mem::kPageSize, ~std::uint64_t{0}, 0), 3u);
+  EXPECT_EQ(k_.pages_on_node(pid_, vm::AddressSpace::kUserTop, 1, 0), 0u);
+}
+
 TEST_F(KernelTest, MbindAffectsFuturePlacement) {
   ThreadCtx t = ctx_on(0);
   const std::uint64_t len = 4 * mem::kPageSize;

@@ -291,5 +291,43 @@ TEST(MigrationPipeline, KmigratedFailuresStampTheDaemonClock) {
   }
 }
 
+// --- frame reuse ----------------------------------------------------------------
+
+TEST(MigrationPipeline, MovedBackPagesReuseTheLastFreedFrameFirst) {
+  // Eight pages move 0 -> 1 one at a time, so node 0 frees frames 0..7 in
+  // order (one run in its free stack), then move back one at a time and
+  // take them last-freed first. validate() runs after every move: a free
+  // stack that handed out an id but still held it fails the allocator
+  // audit there, before the id could be handed out twice.
+  Kernel k(KernelConfig{.topology = topo::Topology::quad_opteron(),
+                        .backing = mem::Backing::kPhantom});
+  const Pid pid = k.create_process();
+  ThreadCtx t;
+  t.pid = pid;
+  constexpr std::uint64_t kN = 8;
+  const vm::Vaddr a = k.sys_mmap(t, kN * mem::kPageSize, vm::Prot::kReadWrite,
+                                 vm::MemPolicy::bind(topo::node_mask_of(0)));
+  k.access(t, a, kN * mem::kPageSize, vm::Prot::kWrite, 0.0);
+  const vm::PageTable& pt = k.address_space(pid).page_table();
+  auto frame_of = [&](std::uint64_t i) {
+    return pt.find(vm::vpn_of(a + i * mem::kPageSize))->frame;
+  };
+  auto move_one = [&](std::uint64_t i, topo::NodeId dest) {
+    const vm::Vaddr page = a + i * mem::kPageSize;
+    const topo::NodeId node = dest;
+    int status = 0;
+    EXPECT_EQ(k.sys_move_pages(t, {&page, 1}, {&node, 1}, {&status, 1}), 0);
+    EXPECT_EQ(status, static_cast<int>(dest));
+    k.validate(pid);
+  };
+  for (std::uint64_t i = 0; i < kN; ++i) ASSERT_EQ(frame_of(i), i);
+  for (std::uint64_t i = 0; i < kN; ++i) move_one(i, 1);
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    move_one(i, 0);
+    EXPECT_EQ(frame_of(i), kN - 1 - i);
+  }
+  EXPECT_EQ(k.pages_on_node(pid, a, kN * mem::kPageSize, 0), kN);
+}
+
 }  // namespace
 }  // namespace numasim::kern

@@ -384,7 +384,7 @@ TEST(TierAudit, ValidateAuditsTierOccupancyThroughChurn) {
   EXPECT_LE(rig.k.fast_occupancy_pct(), 100);
   for (int i = 0; i < 4; ++i) {
     rig.window();
-    rig.k.validate(rig.pid);  // audit_tiers() after every demotion pass
+    rig.k.validate(rig.pid);  // PhysMem::audit() after every demotion pass
   }
   // Promote some pages back up, then unmap everything: the incremental
   // tier_used accounting must agree with the pools at every step.
