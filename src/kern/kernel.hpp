@@ -424,6 +424,9 @@ class Kernel {
   /// Memory traffic for already-mapped pages is charged at `stream_rate`
   /// bytes/us if nonzero (0 = only fault handling, no data-plane charge —
   /// used when a cache model above accounts for the traffic itself).
+  /// A range past the user address space faults at its first unmapped page,
+  /// or at AddressSpace::kUserTop; one whose end wraps past 2^64 is no
+  /// exception.
   AccessResult access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
                       vm::Prot want, double stream_rate_bytes_per_us);
 
@@ -591,8 +594,8 @@ class Kernel {
                        AccessResult& res, CopyBatch* copies);
 
   /// The per-extent page walk behind access() and access_strided(): the
-  /// soft-TLB check and fill, the fault-retry loop, kDirty/write_gen,
-  /// replica resolution and per-page node resolution for [addr, end). Each
+  /// soft-TLB check and fill, the fault-retry loop, kDirty, replica
+  /// resolution and per-page node resolution for [addr, end). Each
   /// page's touched bytes go to `on_page(node, bytes)` in address order (a
   /// soft-TLB hit makes one call for the whole extent); `on_fault()` runs
   /// before every fault, so a caller charging runs in order flushes first.
@@ -605,9 +608,9 @@ class Kernel {
                    CopyBatch& copies, OnPage&& on_page, OnFault&& on_fault);
 
   /// The per-page step of every access walk, on a PTE that allows the
-  /// access: a write sets kDirty and bumps write_gen. Returns the node that
-  /// serves the access, which for a read of a kReplica page is the replica
-  /// resolve_replica picks for `core_node`.
+  /// access: a write sets kDirty. Returns the node that serves the access,
+  /// which for a read of a kReplica page is the replica resolve_replica
+  /// picks for `core_node`.
   topo::NodeId access_page(ThreadCtx& t, Process& p, vm::Pte& pte, vm::Vpn vpn,
                            bool writing, topo::NodeId core_node,
                            CopyBatch& copies);

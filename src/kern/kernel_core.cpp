@@ -592,8 +592,8 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
   if (pte.flags & vm::Pte::kTxn) {
     // Write fault on a page mid-transaction: drop the protection and let
     // the writer proceed immediately — it never waits for the migration.
-    // The writer's access then bumps the write generation, so the verify
-    // step sees the page dirty and loops through the retry path.
+    // The writer's access then sets kDirty, and the missing kTxn alone
+    // already tells the verify step to loop through the retry path.
     charge(t, cost_.pte_update + cost_.tlb_flush_local, sim::CostKind::kPageFault);
     pte.clear(vm::Pte::kTxn);
     pte.restore_hw(vma->prot);
@@ -654,7 +654,6 @@ inline topo::NodeId Kernel::access_page(ThreadCtx& t, Process& p, vm::Pte& pte,
                                         CopyBatch& copies) {
   if (writing) {
     pte.set(vm::Pte::kDirty);
-    ++pte.write_gen;
   } else if (pte.flags & vm::Pte::kReplica) {
     return resolve_replica(t, p, pte, vpn, core_node, &copies);
   }
@@ -762,7 +761,11 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
   numab_tick(t, p);
   const sim::Time entry = t.clock;
   CopyBatch copies;
-  const vm::Vaddr end = addr + len;
+  // A range that ends past the user address space, or wraps past 2^64, is
+  // walked only up to kUserTop. Like any range it faults at its first
+  // unmapped page; with none below kUserTop, it faults at kUserTop.
+  const bool in_range = vm::AddressSpace::in_user_range(addr, len);
+  const vm::Vaddr end = in_range ? addr + len : vm::AddressSpace::kUserTop;
 
   // Contiguous same-node runs are charged as one stream, in address order,
   // and the open run is flushed before every fault so fault costs and
@@ -792,6 +795,7 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
       },
       flush_run);
   flush_run();
+  if (!in_range) throw SegfaultError{std::max(addr, vm::AddressSpace::kUserTop)};
 
   migration_batch_tail(t, p, copies, sim::CostKind::kNextTouchCopy, addr, end,
                        entry, res.nexttouch_migrations, MigrateEngine::kConfigured,
@@ -998,7 +1002,7 @@ bool Kernel::poke(Pid pid, vm::Vaddr addr, std::span<const std::byte> in) {
     if (pte == nullptr || !pte->present()) return false;
     // Timing-free, but still a write: the transactional migrator's dirty
     // check must see it (tests poke pages mid-transaction).
-    ++pte->write_gen;
+    pte->set(vm::Pte::kDirty);
     std::byte* data = phys_.data(pte->frame);
     if (data == nullptr) return false;
     const std::uint64_t off = a & (mem::kPageSize - 1);
@@ -1046,6 +1050,10 @@ std::uint64_t Kernel::pages_on_node(Pid pid, vm::Vaddr addr, std::uint64_t len,
 }
 
 void Kernel::validate(Pid pid) const {
+  // The allocator's own books first (tier totals, used counts, free stacks):
+  // a free stack that hands out a frame twice is named here, at the cause,
+  // not below as the double-mapped frame it leads to.
+  phys_.audit();
   const Process& p = proc(pid);
   std::uint64_t referenced = 0;
   // One bit per FrameId; the is_live check before every claim keeps `f` in
@@ -1143,8 +1151,6 @@ void Kernel::validate(Pid pid) const {
       if (row[n] != want) placement_mismatch(key, n, want, row[n]);
     }
   });
-  // The allocator's own books: tier totals, used counts, free stacks.
-  phys_.audit();
 }
 
 void Kernel::validate(const ThreadCtx& t) const {

@@ -34,7 +34,12 @@ vm::Pte* TxnMigrator::find_pte() {
 }
 
 void TxnMigrator::copy_pass(ThreadCtx& t, vm::Pte& pte, topo::NodeId from) {
-  gen_ = pte.write_gen;
+  was_dirty_ = was_dirty_ || (pte.flags & vm::Pte::kDirty) != 0;
+  pte.clear(vm::Pte::kDirty);
+  // Dirty-clear site: a cached write descriptor promises its pages are
+  // already dirty, so a write it served would skip the kDirty this
+  // transaction now watches. Retire the descriptors.
+  k_.stlb_invalidate(k_.proc(pid_));
   injected_dirty_ = false;
   const sim::Slot c = k_.hw_.copy(t.clock, from, target_, mem::kPageSize,
                                   k_.cost_.kernel_copy_bytes_per_us);
@@ -58,9 +63,9 @@ void TxnMigrator::copy_pass(ThreadCtx& t, vm::Pte& pte, topo::NodeId from) {
 
 bool TxnMigrator::dirty_since_copy(const vm::Pte& pte) const {
   // A write fault mid-transaction clears kTxn (the writer never waits), so
-  // a missing flag is as conclusive as a bumped generation.
+  // a missing flag is as conclusive as the dirty bit copy_pass cleared.
   return injected_dirty_ || !(pte.flags & vm::Pte::kTxn) ||
-         pte.write_gen != gen_;
+         (pte.flags & vm::Pte::kDirty) != 0;
 }
 
 void TxnMigrator::do_shadow_copy(ThreadCtx& t) {
@@ -99,12 +104,10 @@ void TxnMigrator::do_write_protect(ThreadCtx& t) {
   k_.charge(t, k_.cost_.pte_update + k_.cost_.tlb_flush_local, control_kind_);
   pte->clear(vm::Pte::kHwWrite);
   pte->set(vm::Pte::kTxn);
-  // Txn-arm site — and the linchpin of the soft-TLB's write_gen argument:
-  // from here on a cached write descriptor could let a fast-path write skip
-  // the ++write_gen this migrator's dirty check watches. Bumping the mapping
-  // generation HERE guarantees every write between arm and commit/abort
-  // misses the cache and takes the slow path (faulting on the cleared
-  // kHwWrite), which bumps write_gen as the dirty check requires.
+  // Txn-arm site: a cached write descriptor still promises kHwWrite. Retiring
+  // it makes every write between arm and commit/abort miss the cache and
+  // fault on the cleared kHwWrite, which drops kTxn as the dirty check
+  // requires.
   k_.stlb_invalidate(k_.proc(pid_));
   state_ = TxnState::kVerifyClean;
 }
@@ -138,6 +141,7 @@ void TxnMigrator::do_commit(ThreadCtx& t) {
   shadow_ = mem::kInvalidFrame;
   pte->clear(vm::Pte::kTxn | vm::Pte::kHwRead | vm::Pte::kHwWrite);
   pte->set(hw_bits_);
+  if (was_dirty_) pte->set(vm::Pte::kDirty);  // Linux migrates the dirty bit
   ++k_.kstats_.txn_commits;
   if (k_.h_txn_retries_ != nullptr) k_.h_txn_retries_->record(retries_);
   k_.trace(t, EventType::kTxnCommit, vpn_, 1, from, target_);
@@ -163,14 +167,19 @@ void TxnMigrator::do_abort(ThreadCtx& t) {
     k_.phys_.free(shadow_);  // free() also drops the shadow mark
     shadow_ = mem::kInvalidFrame;
   }
-  if (vm::Pte* pte = find_pte();
-      pte != nullptr && pte->present() && (pte->flags & vm::Pte::kTxn)) {
-    k_.charge(t, k_.cost_.pte_update, control_kind_);
-    pte->clear(vm::Pte::kTxn | vm::Pte::kHwRead | vm::Pte::kHwWrite);
-    pte->set(hw_bits_);
-    // Restoring hw bits only widens, but bump anyway: cheap, and keeps the
-    // rule simple — every txn state that rewrites a PTE invalidates.
-    k_.stlb_invalidate(k_.proc(pid_));
+  vm::Pte* pte = find_pte();
+  if (pte != nullptr && pte->present()) {
+    // Give back the dirty bit copy_pass took, also when the abort comes
+    // before do_write_protect armed kTxn. Setting it only widens.
+    if (was_dirty_) pte->set(vm::Pte::kDirty);
+    if (pte->flags & vm::Pte::kTxn) {
+      k_.charge(t, k_.cost_.pte_update, control_kind_);
+      pte->clear(vm::Pte::kTxn | vm::Pte::kHwRead | vm::Pte::kHwWrite);
+      pte->set(hw_bits_);
+      // Restoring hw bits only widens, but bump anyway: cheap, and keeps the
+      // rule simple — every txn state that rewrites a PTE invalidates.
+      k_.stlb_invalidate(k_.proc(pid_));
+    }
   }
   ++k_.kstats_.txn_aborted;
   k_.trace(t, EventType::kTxnAbort, vpn_, 1, topo::kInvalidNode, target_);

@@ -4,13 +4,15 @@
 // owning task stalls on the migration critical section. The transactional
 // migrator instead copies the page to a *shadow frame* while the mapping
 // stays fully accessible, then write-protects it, re-verifies that the page
-// stayed clean (the simulated dirty bit: a write-generation stamp
-// snapshotted at the copy), and commits with an atomic PTE flip + local
-// flush. A page dirtied during the copy window is re-copied under a bounded
-// retry budget with exponential backoff in simulated time; exhausting the
-// budget (or a permanent injected copy fault) releases the shadow frame and
-// degrades gracefully to the existing stop-and-copy path — or defers the
-// page entirely, for numab promotion — instead of failing the batch.
+// stayed clean (the PTE dirty bit, cleared before each copy pass, as Nomad
+// does), and commits with an atomic PTE flip + local flush. Like a Linux
+// migration, the transaction hands the dirty bit on: the page ends dirty if
+// it was dirty before or written during it. A page dirtied during the copy
+// window is re-copied under a bounded retry budget with exponential backoff
+// in simulated time; exhausting the budget (or a permanent injected copy
+// fault) releases the shadow frame and degrades gracefully to the existing
+// stop-and-copy path — or defers the page entirely, for numab promotion —
+// instead of failing the batch.
 //
 //     kShadowCopy ──► kWriteProtect ──► kVerifyClean ──► kCommitFlip ──► kCommitted
 //          ▲                                 │ dirty          │ dirty
@@ -23,7 +25,9 @@
 // writer between any two states; Kernel::do_migrate_page_txn drives it to a
 // terminal state in one call. A write fault on a kTxn-protected page clears
 // the protection immediately (the writer never waits); the verify step then
-// observes the bumped write generation and loops through kDirtyRetry.
+// finds kTxn gone and loops through kDirtyRetry. A write that needs no fault
+// (the copy window before the protection, or a timing-free poke) sets kDirty,
+// which the verify and commit steps test as well.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +57,7 @@ const char* migration_mode_name(MigrationMode m);
 enum class TxnState : std::uint8_t {
   kShadowCopy,    ///< admission + shadow-frame alloc + first copy
   kWriteProtect,  ///< clear the hw write bit, arm kTxn
-  kVerifyClean,   ///< dirty-bit check against the copy-window snapshot
+  kVerifyClean,   ///< dirty-bit check over the copy window
   kCommitFlip,    ///< re-check + atomic PTE flip + local flush
   kDirtyRetry,    ///< backoff, then re-copy (bounded by txn_retry_max)
   kAbort,         ///< shadow frame released, protection restored
@@ -90,7 +94,8 @@ class TxnMigrator {
   void do_dirty_retry(ThreadCtx& t);
   void do_abort(ThreadCtx& t);
 
-  /// Charge one shadow-copy pass and snapshot the dirty-detection state.
+  /// Charge one shadow-copy pass and open its copy window: fold the page's
+  /// kDirty into was_dirty_ and clear it, so a later write shows.
   void copy_pass(ThreadCtx& t, vm::Pte& pte, topo::NodeId from);
   /// Has the page been written (or otherwise invalidated) since copy_pass?
   bool dirty_since_copy(const vm::Pte& pte) const;
@@ -115,8 +120,9 @@ class TxnMigrator {
   mem::FrameId shadow_ = mem::kInvalidFrame;
   unsigned retries_ = 0;
   vm::Pte* pte_ = nullptr;  ///< resolved once; entries are chunk-stable
-  // Dirty-detection snapshot, taken at each copy pass.
-  std::uint32_t gen_ = 0;
+  /// The page carried kDirty at some copy pass; do_commit and do_abort set
+  /// it again, so the transaction never loses the bit.
+  bool was_dirty_ = false;
   bool injected_dirty_ = false;    ///< injector verdict: transient copy fault
   bool injected_permanent_ = false;
   std::uint16_t hw_bits_ = 0;  ///< hw permission bits to restore on exit

@@ -32,6 +32,9 @@ struct Pte {
   static constexpr std::uint16_t kHwRead = 1u << 1;
   static constexpr std::uint16_t kHwWrite = 1u << 2;
   static constexpr std::uint16_t kAccessed = 1u << 3;
+  /// Set by every write (the access walks and poke). A transactional
+  /// migration clears it for each copy pass, so a write in its copy window
+  /// shows, and hands it on to the migrated page (kern/txn_migrate.hpp).
   static constexpr std::uint16_t kDirty = 1u << 4;
   /// The kernel next-touch marker (the paper's new madvise semantics).
   static constexpr std::uint16_t kNextTouch = 1u << 5;
@@ -46,7 +49,7 @@ struct Pte {
   /// A transactional migration (kern/txn_migrate) has write-protected this
   /// page between its shadow copy and the commit flip. A write fault clears
   /// it and restores write access immediately — the writer never waits for
-  /// the migration; the verify step then sees the dirtied generation.
+  /// the migration; the verify step then sees the page dirty.
   static constexpr std::uint16_t kTxn = 1u << 9;
 
   /// Bits 10-15 of `flags` hold the node of `frame` (like Linux's
@@ -80,12 +83,6 @@ struct Pte {
   /// cold-page evidence for tier demotion (saturating; reset on any hint
   /// fault and after a demotion).
   std::uint8_t numa_idle = 0;
-  /// Write-generation stamp: bumped on every write access (and poke). The
-  /// transactional migrator snapshots it before the shadow copy and
-  /// re-verifies it before the commit flip — the simulated dirty-bit race
-  /// window. Generation counting subsumes timestamping the last write: any
-  /// write after the snapshot changes the generation.
-  std::uint32_t write_gen = 0;
 
   /// Node of `frame`, from the node bits.
   topo::NodeId node() const { return flags >> kNodeShift; }
@@ -117,10 +114,10 @@ struct Pte {
   }
 };
 
-// Page metadata is the dominant per-page cost at million-page scale: a
-// 512-entry chunk must stay compact (12 bytes/page — 12 MiB of metadata per
-// million pages). Widening Pte needs a deliberate decision, not an
-// accidental field.
-static_assert(sizeof(Pte) <= 16, "Pte grew past the compact metadata budget");
+// Page metadata is the dominant per-page cost at million-page scale: 8 bytes
+// per page, so a 512-entry chunk is exactly one 4 KiB host page (8 MiB of
+// metadata per million pages). Widening Pte needs a deliberate decision, not
+// an accidental field.
+static_assert(sizeof(Pte) == 8, "Pte left the compact metadata budget");
 
 }  // namespace numasim::vm

@@ -472,6 +472,36 @@ TEST_F(KernelTest, RangeCallsRejectAnEndThatWrapsPast2To64) {
   k_.validate(pid_);
 }
 
+TEST_F(KernelTest, AccessFaultsWhereAnEndThatWrapsPast2To64Leaves) {
+  ThreadCtx t = ctx_on(0);
+  const std::uint64_t len16 = 16 * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t, len16, vm::Prot::kReadWrite);
+  k_.access(t, a, len16, vm::Prot::kWrite, 3500.0);
+  auto fault_addr = [&](vm::Vaddr addr, std::uint64_t len) -> std::uint64_t {
+    try {
+      k_.access(t, addr, len, vm::Prot::kRead, 3500.0);
+    } catch (const SegfaultError& e) {
+      return e.fault_addr;
+    }
+    ADD_FAILURE() << "access(" << addr << ", " << len << ") did not fault";
+    return 0;
+  };
+  // One page too many faults at the first page past the mapping.
+  EXPECT_EQ(fault_addr(a, len16 + mem::kPageSize), a + len16);
+  // 2^64 - a + 4096: a + len wraps to 4096, below the mapping. The access
+  // still walks from `a` and faults at the same page.
+  const std::uint64_t wrapped = mem::kPageSize - a;
+  ASSERT_EQ(a + wrapped, mem::kPageSize);
+  EXPECT_EQ(fault_addr(a, wrapped), a + len16);
+  // At or past the top of the user address space, the access faults at
+  // its start, whether or not its end wraps.
+  constexpr vm::Vaddr kTop = vm::AddressSpace::kUserTop;
+  EXPECT_EQ(fault_addr(kTop, mem::kPageSize), kTop);
+  EXPECT_EQ(fault_addr(kTop + 2 * mem::kPageSize, ~std::uint64_t{0}),
+            kTop + 2 * mem::kPageSize);
+  k_.validate(pid_);
+}
+
 TEST_F(KernelTest, PagesOnNodeOfAnEmptyRangeIsZero) {
   ThreadCtx t = ctx_on(0);
   const std::uint64_t len = 4 * mem::kPageSize;
@@ -745,8 +775,7 @@ TEST_P(StridedTwinTest, MatchesOneAccessPerRow) {
     const vm::Pte* b = pw.find(v);
     ASSERT_EQ(a == nullptr, b == nullptr) << "vpn " << v;
     if (a == nullptr) continue;
-    EXPECT_EQ(a->flags, b->flags) << "vpn " << v;  // flag and node bits
-    EXPECT_EQ(a->write_gen, b->write_gen) << "vpn " << v;
+    EXPECT_EQ(a->flags, b->flags) << "vpn " << v;  // flag and node bits, kDirty too
   }
   EXPECT_NO_THROW(s.k.validate(s.pid));
   EXPECT_NO_THROW(w.k.validate(w.pid));

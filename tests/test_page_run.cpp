@@ -152,9 +152,11 @@ TEST(PageRun, FlagBoundarySegmentation) {
 
 TEST(Pte, StaysWithinCompactBudget) {
   // Per-page metadata is compressed so million-page address spaces stay
-  // cache-resident. write_gen subsumes the old last_write stamp, and the
-  // frame's node rides in the spare high bits of flags.
-  EXPECT_EQ(sizeof(Pte), 12u);
+  // cache-resident: the frame's node rides in the spare high bits of flags,
+  // and the transactional migrator detects writes with kDirty. A 512-entry
+  // chunk is one 4 KiB host page.
+  EXPECT_EQ(sizeof(Pte), 8u);
+  EXPECT_EQ(sizeof(Pte) * PageTable::kChunkPages, mem::kPageSize);
 }
 
 }  // namespace

@@ -115,8 +115,8 @@ TEST_F(StlbTest, WriteHitRequiresAlreadyDirtyRun) {
   k_.access(t, a, len, vm::Prot::kRead, 3500.0);   // fill: dirty => kWriteOk
   const std::uint64_t hits = k_.stats().stlb_hits;
   // A write over an already-dirty run changes no PTE state the slow path
-  // would record differently (re-set kDirty is idempotent; see the
-  // write_gen argument in docs/performance.md), so it may hit.
+  // would record differently (re-set kDirty is idempotent; see the dirty
+  // requirement in docs/performance.md §6), so it may hit.
   const AccessResult r = k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
   EXPECT_EQ(r.pages, kChunk);
   EXPECT_EQ(r.minor_faults, 0u);
@@ -133,8 +133,8 @@ TEST_F(StlbTest, ReadPopulatedRunDoesNotEarnWriteHit) {
   k_.access(t, a, len, vm::Prot::kRead, 3500.0);  // the read-only right hits
   const std::uint64_t hits = k_.stats().stlb_hits;
   ASSERT_EQ(hits, 1u);
-  // The first write must walk (it dirties pages and bumps write_gen — state
-  // the fast path is not allowed to skip on clean pages).
+  // The first write must walk (it sets kDirty — state the fast path is not
+  // allowed to skip on clean pages).
   k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
   EXPECT_EQ(k_.stats().stlb_hits, hits);
   EXPECT_NO_THROW(k_.validate(t));

@@ -168,6 +168,80 @@ TEST_P(TxnMigrateTest, DirtyRetryConvergesAgainstRacingWriter) {
   k_.validate(pid_);
 }
 
+TEST_P(TxnMigrateTest, WriteServedBySoftTlbInTheCopyWindowIsSeen) {
+  ThreadCtx t = ctx_on(0);
+  // One chunk's worth of pages, the smallest extent the soft-TLB caches.
+  const std::uint64_t pages = vm::PageTable::kChunkPages;
+  const std::uint64_t len = pages * mem::kPageSize;
+  const vm::Vaddr a = make_region(t, pages, 0);  // first write walk faults
+  k_.access(t, a, len, vm::Prot::kWrite, 0.0);   // second fills a descriptor
+  const std::uint64_t hits = k_.stats().stlb_hits;
+  k_.access(t, a, len, vm::Prot::kWrite, 0.0);  // third is served by it
+  ASSERT_EQ(k_.stats().stlb_hits, hits + 1);
+
+  TxnMigrator txn(k_, pid_, vm::vpn_of(a), 1, sim::CostKind::kMovePagesControl,
+                  sim::CostKind::kMovePagesCopy);
+  EXPECT_EQ(txn.step(t), TxnState::kWriteProtect);  // shadow copied
+  // The copy pass cleared kDirty: no current descriptor may still promise
+  // a dirty page.
+  k_.validate(t);
+
+  // A writer stores to the whole mapping while the copy window is open.
+  k_.access(t, a, len, vm::Prot::kWrite, 0.0);
+  EXPECT_EQ(txn.step(t), TxnState::kVerifyClean);
+  EXPECT_EQ(txn.step(t), TxnState::kDirtyRetry);  // the write was not missed
+  EXPECT_EQ(txn.run(t), TxnState::kCommitted);
+  EXPECT_EQ(txn.retries(), 1u);
+  EXPECT_EQ(k_.page_node(pid_, a), 1);
+  k_.validate(t);
+}
+
+TEST_P(TxnMigrateTest, CommitHandsTheDirtyBitOn) {
+  ThreadCtx t = ctx_on(0);
+  const vm::Vaddr written = make_region(t, 1, 0);
+  const vm::Vaddr read = k_.sys_mmap(t, mem::kPageSize, vm::Prot::kReadWrite,
+                                     vm::MemPolicy::bind(topo::node_mask_of(0)));
+  k_.access(t, read, mem::kPageSize, vm::Prot::kRead, 0.0);
+
+  for (const vm::Vaddr a : {written, read}) {
+    TxnMigrator txn(k_, pid_, vm::vpn_of(a), 1, sim::CostKind::kMovePagesControl,
+                    sim::CostKind::kMovePagesCopy);
+    EXPECT_EQ(txn.run(t), TxnState::kCommitted);
+    // A dirty bit from before the transaction is not a write in its copy
+    // window: both commit on the first pass.
+    EXPECT_EQ(txn.retries(), 0u);
+    const vm::Pte* pte = k_.address_space(pid_).page_table().find(vm::vpn_of(a));
+    ASSERT_NE(pte, nullptr);
+    EXPECT_EQ(pte->node(), 1);
+    EXPECT_EQ(pte->flags & vm::Pte::kTxn, 0);
+    // The written page stays dirty; the page that was only read stays clean.
+    EXPECT_EQ((pte->flags & vm::Pte::kDirty) != 0, a == written);
+  }
+  EXPECT_EQ(k_.stats().txn_dirty_retries, 0u);
+  k_.validate(t);
+}
+
+TEST_P(TxnMigrateTest, AbortBeforeTheProtectionGivesTheDirtyBitBack) {
+  ThreadCtx t = ctx_on(0);
+  const vm::Vaddr a = make_region(t, 1, 0);  // written, so dirty
+  const vm::Pte* pte = k_.address_space(pid_).page_table().find(vm::vpn_of(a));
+  ASSERT_NE(pte, nullptr);
+
+  TxnMigrator txn(k_, pid_, vm::vpn_of(a), 1, sim::CostKind::kMovePagesControl,
+                  sim::CostKind::kMovePagesCopy);
+  EXPECT_EQ(txn.step(t), TxnState::kWriteProtect);
+  EXPECT_EQ(pte->flags & vm::Pte::kDirty, 0);  // cleared for the copy window
+  // An madvise marks the page before the protection is armed: the
+  // transaction aborts with kTxn never set.
+  ASSERT_EQ(k_.sys_madvise(t, a, mem::kPageSize, Advice::kMigrateOnNextTouch), 0);
+  EXPECT_EQ(txn.step(t), TxnState::kAbort);
+  EXPECT_EQ(txn.step(t), TxnState::kDegraded);
+  EXPECT_NE(pte->flags & vm::Pte::kDirty, 0);
+  EXPECT_EQ(k_.page_node(pid_, a), 0);
+  EXPECT_EQ(k_.phys().total_shadow_frames(), 0u);
+  k_.validate(t);
+}
+
 TEST_P(TxnMigrateTest, WriteFaultOnProtectedPageNeverStallsWriter) {
   ThreadCtx t = ctx_on(0);
   ThreadCtx w = ctx_on(4, 1);  // writer on node 1
