@@ -440,6 +440,9 @@ class Kernel {
   /// with the touched bytes per holding node; pass stream_rate 0 in that
   /// case and charge the traffic yourself (e.g. in slices, via
   /// charge_stream) so concurrent threads interleave fairly.
+  /// A row that ends past AddressSpace::kUserTop, or wraps past 2^64, is
+  /// touched as access() touches such a range, and no later row is; a row
+  /// whose start wraps past 2^64 faults at kUserTop.
   AccessResult access_strided(ThreadCtx& t, vm::Vaddr base, std::uint64_t rows,
                               std::uint64_t row_bytes, std::uint64_t stride_bytes,
                               vm::Prot want, double stream_rate_bytes_per_us,

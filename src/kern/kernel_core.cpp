@@ -835,7 +835,21 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
   vm::PageTable& pt = p.as.page_table();
   const bool writing = prot_allows(want, vm::Prot::kWrite);
   std::vector<std::uint64_t> bytes_from(topo_.num_nodes(), 0);
-  for (std::uint64_t r = 0; r < rows; ++r) {
+  auto to_bucket = [&](topo::NodeId node, std::uint64_t bytes) {
+    bytes_from[node] += bytes;
+  };
+  // Rows [0, rows_in) end at or below kUserTop. Row starts only grow with r,
+  // so the first row that does not is the last one touched: as in access(),
+  // it is walked up to kUserTop and faults at its first unmapped page, or at
+  // max(its start, kUserTop), or at kUserTop when base + r * stride does not
+  // fit in 64 bits.
+  constexpr vm::Vaddr kTop = vm::AddressSpace::kUserTop;
+  std::uint64_t rows_in = 0;
+  if (vm::AddressSpace::in_user_range(base, row_bytes)) {
+    const std::uint64_t room = kTop - base - row_bytes;
+    rows_in = stride_bytes == 0 ? rows : std::min(rows, room / stride_bytes + 1);
+  }
+  for (std::uint64_t r = 0; r < rows_in; ++r) {
     const vm::Vaddr row_start = base + r * stride_bytes;
     const vm::Vpn vpn = vm::vpn_of(row_start);
     if (vpn == vm::vpn_of(row_start + row_bytes - 1)) {
@@ -847,10 +861,17 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
         continue;
       }
     }
-    walk_extent(
-        t, p, row_start, row_start + row_bytes, want, core_node, res, copies,
-        [&](topo::NodeId node, std::uint64_t bytes) { bytes_from[node] += bytes; },
-        [] {});
+    walk_extent(t, p, row_start, row_start + row_bytes, want, core_node, res,
+                copies, to_bucket, [] {});
+  }
+  vm::Vaddr fault_at = kTop;
+  if (rows_in < rows && (stride_bytes == 0 ||
+                         rows_in <= (~std::uint64_t{0} - base) / stride_bytes)) {
+    const vm::Vaddr row_start = base + rows_in * stride_bytes;
+    if (row_start < kTop)
+      walk_extent(t, p, row_start, kTop, want, core_node, res, copies, to_bucket,
+                  [] {});
+    fault_at = std::max(row_start, kTop);
   }
 
   if (bytes_by_node != nullptr) *bytes_by_node = bytes_from;
@@ -863,6 +884,7 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
                     writing ? MemDir::kWrite : MemDir::kRead);
     }
   }
+  if (rows_in < rows) throw SegfaultError{fault_at};
   migration_batch_tail(t, p, copies, sim::CostKind::kNextTouchCopy, base,
                        base + (rows - 1) * stride_bytes + row_bytes, entry,
                        res.nexttouch_migrations, MigrateEngine::kConfigured,
@@ -1050,20 +1072,23 @@ std::uint64_t Kernel::pages_on_node(Pid pid, vm::Vaddr addr, std::uint64_t len,
 }
 
 void Kernel::validate(Pid pid) const {
-  // The allocator's own books first (tier totals, used counts, free stacks):
-  // a free stack that hands out a frame twice is named here, at the cause,
+  // The allocator's own books first (tier totals, used counts, free bits):
+  // an allocator that hands out a frame twice is named here, at the cause,
   // not below as the double-mapped frame it leads to.
   phys_.audit();
   const Process& p = proc(pid);
   std::uint64_t referenced = 0;
-  // One bit per FrameId; the is_live check before every claim keeps `f` in
-  // range.
-  std::vector<bool> seen(phys_.frame_id_limit());
-  auto claim = [&seen](mem::FrameId f, const char* what) {
-    if (seen[f])
+  // One bit per created frame of each node; the is_live check before every
+  // claim keeps the node and index in range.
+  std::vector<std::vector<bool>> seen(topo_.num_nodes());
+  for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n)
+    seen[n].resize(phys_.created_frames(n));
+  auto claim = [&](mem::FrameId f, const char* what) {
+    auto bit = seen[phys_.node_of(f)][phys_.index_of(f)];
+    if (bit)
       throw std::logic_error{std::string{"validate: frame double-mapped ("} +
                              what + ")"};
-    seen[f] = true;
+    bit = true;
   };
   p.as.for_each([&](const vm::Vma& vma) {
     auto check_run = [&](vm::ConstPageRun run) {

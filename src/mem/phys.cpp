@@ -1,6 +1,7 @@
 #include "mem/phys.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
@@ -29,19 +30,37 @@ PhysMem::PhysMem(const topo::Topology& topo, Backing backing,
       return topo.hops(n, a) < topo.hops(n, b);
     });
   }
+  std::uint64_t top_index = 0;  // the largest node's highest index
+  for (const NodePool& p : per_node_)
+    if (p.capacity != 0) top_index = std::max(top_index, p.capacity - 1);
+  const unsigned node_bits = static_cast<unsigned>(std::bit_width(topo.num_nodes() - 1));
+  index_bits_ = std::min(static_cast<unsigned>(std::bit_width(top_index)),
+                         31 - node_bits);
 }
 
-FrameId PhysMem::new_frame(topo::NodeId node) {
-  // Ids at or past FreeStack::kIdLimit would collide with its run headers
-  // (and, further on, wrap into kInvalidFrame).
-  if (frames_.size() >= FreeStack::kIdLimit)
-    throw std::length_error{"PhysMem: frame ids exhausted (" +
-                            std::to_string(FreeStack::kIdLimit) + " frames)"};
-  const auto id = static_cast<FrameId>(frames_.size());
-  frames_.push_back(static_cast<std::uint8_t>(node | kInUse));
+// When the cap binds, index_bits_ is at least 25, so 2^index_bits_ is a
+// multiple of 64 and grow() sees every index that could reach it. Without
+// the cap, 2^index_bits_ is at least every node's capacity, which take_frame
+// never lets `created` pass.
+static_assert(31 - std::bit_width(topo::kMaxNodes - 1) >= 6,
+              "PhysMem::grow checks the id limit at 64-index boundaries only");
+
+void PhysMem::grow(NodePool& pool, topo::NodeId node) {
+  if (pool.created % 64 == 0) {
+    if (pool.created >> index_bits_ != 0)
+      throw std::length_error{"PhysMem: node " + std::to_string(node) +
+                              " has used all 2^" + std::to_string(index_bits_) +
+                              " of its frame ids"};
+    if (pool.free_bits.size() % 64 == 0) pool.summary.push_back(0);
+    pool.free_bits.push_back(0);
+  }
   if (backing_ == Backing::kMaterialized)
-    data_.push_back(std::make_unique<std::byte[]>(kPageSize));
-  return id;
+    pool.data.push_back(std::make_unique<std::byte[]>(kPageSize));
+}
+
+void PhysMem::throw_dead_free(FrameId f) {
+  throw std::logic_error{"PhysMem::free: frame " + std::to_string(f) +
+                         " is not live"};
 }
 
 FrameId PhysMem::alloc_near(topo::NodeId preferred, bool use_reserve) {
@@ -79,9 +98,14 @@ void PhysMem::set_node_capacity(topo::NodeId n, std::uint64_t frames) {
 
 void PhysMem::mark_shadow(FrameId f) {
   assert(is_live(f));
-  if (!(frames_[f] & kShadow)) {
-    frames_[f] |= kShadow;
-    ++per_node_[node_of(f)].shadow;
+  NodePool& pool = per_node_[node_of(f)];
+  const std::uint32_t i = index_of(f);
+  if (i / 64 >= pool.shadow_bits.size()) pool.shadow_bits.resize(pool.free_bits.size());
+  std::uint64_t& word = pool.shadow_bits[i / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if (!(word & bit)) {
+    word |= bit;
+    ++pool.shadow;
   }
 }
 
@@ -112,31 +136,57 @@ void PhysMem::audit() const {
            std::to_string(want[i]));
   }
 
-  // Frame ids homed on each node, and how many of them are live.
-  std::array<std::uint64_t, kNodeMask + 1> homed{}, live{};
-  for (const std::uint8_t b : frames_) {
-    ++homed[b & kNodeMask];
-    if (b & kInUse) ++live[b & kNodeMask];
-  }
-  std::vector<bool> seen(frames_.size());
   for (topo::NodeId n = 0; n < per_node_.size(); ++n) {
     const NodePool& p = per_node_[n];
-    const std::string node = "node " + std::to_string(n);
-    if (live[n] != p.used)
-      fail(node + " counts " + std::to_string(p.used) + " used frames, " +
-           std::to_string(live[n]) + " are live");
-    std::uint64_t held = 0;
-    p.free_list.for_each([&](FrameId f) {
-      if (f >= frames_.size() || node_of(f) != n || is_live(f) || seen[f])
-        fail(node + " free stack holds frame " + std::to_string(f) +
-             ", which is not one of the node's free frames");
-      seen[f] = true;
-      ++held;
-    });
-    if (held != p.free_list.size() || held != homed[n] - p.used)
-      fail(node + " free stack holds " + std::to_string(held) + " frames (size " +
-           std::to_string(p.free_list.size()) + "), " +
-           std::to_string(homed[n] - p.used) + " are free");
+    auto fail_node = [&](const std::string& what) {
+      fail("node " + std::to_string(n) + " " + what);
+    };
+    const std::size_t words = (p.created + 63) / 64;
+    if (p.free_bits.size() != words || p.summary.size() != (words + 63) / 64 ||
+        p.shadow_bits.size() > words)
+      fail_node("has " + std::to_string(p.free_bits.size()) + " free words, " +
+                std::to_string(p.summary.size()) + " summary words and " +
+                std::to_string(p.shadow_bits.size()) + " shadow words for " +
+                std::to_string(p.created) + " created frames");
+    // Bits of word w that stand for created indices.
+    auto created_mask = [&](std::size_t w) {
+      return w + 1 < words || p.created % 64 == 0
+                 ? ~std::uint64_t{0}
+                 : (std::uint64_t{1} << (p.created % 64)) - 1;
+    };
+    std::uint64_t free = 0;
+    for (std::size_t w = 0; w < p.summary.size() * 64; ++w) {
+      const std::uint64_t bits = w < words ? p.free_bits[w] : 0;
+      const bool summarized = ((p.summary[w / 64] >> (w % 64)) & 1) != 0;
+      if (summarized != (bits != 0))
+        fail_node("summary bit of free word " + std::to_string(w) + " is " +
+                  (summarized ? "set" : "clear") + ", the word holds " +
+                  std::to_string(std::popcount(bits)) + " free frames");
+      if (bits == 0) continue;
+      if (bits & ~created_mask(w))
+        fail_node("marks an index at or past its " + std::to_string(p.created) +
+                  " created frames free (word " + std::to_string(w) + ")");
+      if (w / 64 < p.hint)
+        fail_node("free word " + std::to_string(w) + " lies below the hint " +
+                  std::to_string(p.hint));
+      free += static_cast<std::uint64_t>(std::popcount(bits));
+    }
+    if (p.used != p.created - free)
+      fail_node("counts " + std::to_string(p.used) + " used frames, " +
+                std::to_string(p.created - free) + " are live (" +
+                std::to_string(p.created) + " created, " + std::to_string(free) +
+                " free)");
+    std::uint64_t marked = 0;
+    for (std::size_t w = 0; w < p.shadow_bits.size(); ++w) {
+      const std::uint64_t bits = p.shadow_bits[w];
+      if (bits & (p.free_bits[w] | ~created_mask(w)))
+        fail_node("marks a frame that is not live as shadow (word " +
+                  std::to_string(w) + ")");
+      marked += static_cast<std::uint64_t>(std::popcount(bits));
+    }
+    if (marked != p.shadow)
+      fail_node("counts " + std::to_string(p.shadow) + " shadow frames, " +
+                std::to_string(marked) + " are marked");
   }
 }
 

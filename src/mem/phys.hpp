@@ -7,7 +7,9 @@
 // back to other nodes in hop order, as Linux's zonelists do.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -21,122 +23,38 @@ namespace numasim::mem {
 inline constexpr unsigned kPageShift = 12;
 inline constexpr std::uint64_t kPageSize = 1ull << kPageShift;
 
+/// A frame id: the frame's home node in the high bits and its index on that
+/// node in the low PhysMem::index_bits(), so the node follows from the id
+/// alone, as Linux derives a page's node from its pfn range (pfn_to_nid).
 using FrameId = std::uint32_t;
 inline constexpr FrameId kInvalidFrame = static_cast<FrameId>(-1);
 
 /// Whether frames carry real 4 KiB host buffers.
 enum class Backing : std::uint8_t { kPhantom, kMaterialized };
 
-/// A LIFO stack of frame ids that keeps consecutive ids as runs, much as
-/// the buddy allocator keeps free memory in blocks rather than one entry
-/// per page. pop() returns exactly what std::vector::back() would after the
-/// same pushes and pops, so a node's free frames are reused in the same
-/// order as with a plain vector.
-///
-/// The stack is one vector of 32-bit words, bottom first:
-///   - a lone id is one word, with bit 31 clear;
-///   - ids pushed one after another that are consecutive, counting up or
-///     down, form a run of two words: the run's lowest id, then a header
-///     word with bit 31 set, bit 30 set when the ids were pushed counting
-///     down, and the id count in bits 0-29.
-/// A run's top (its last-pushed id) is its highest id when it counts up and
-/// its lowest when it counts down. The header bit bounds ids below
-/// kIdLimit.
-class FreeStack {
- public:
-  static constexpr FrameId kIdLimit = FrameId{1} << 31;
-
-  bool empty() const { return words_.empty(); }
-  std::uint64_t size() const { return size_; }
-  /// Words of storage (a lone id costs one, a run two).
-  std::size_t words() const { return words_.size(); }
-
-  void push(FrameId f) {
-    assert(f < kIdLimit);
-    ++size_;
-    const std::size_t n = words_.size();
-    if (n != 0) {
-      const FrameId top = words_[n - 1];
-      if (top & kRun) {
-        FrameId& lo = words_[n - 2];
-        if ((top & kCountMask) < kCountMask) {
-          if (top & kDown) {
-            if (f + 1 == lo) {
-              lo = f;
-              words_[n - 1] = top + 1;
-              return;
-            }
-          } else if (f == lo + (top & kCountMask)) {
-            words_[n - 1] = top + 1;
-            return;
-          }
-        }
-      } else if (f == top + 1 || f + 1 == top) {
-        words_[n - 1] = f < top ? f : top;
-        words_.push_back(kRun | (f < top ? kDown : FrameId{0}) | FrameId{2});
-        return;
-      }
-    }
-    words_.push_back(f);
-  }
-
-  FrameId pop() {
-    assert(!empty());
-    --size_;
-    const std::size_t n = words_.size();
-    const FrameId top = words_[n - 1];
-    if (!(top & kRun)) {
-      words_.pop_back();
-      return top;
-    }
-    FrameId& lo = words_[n - 2];
-    const FrameId count = top & kCountMask;
-    const FrameId id = (top & kDown) ? lo++ : lo + count - 1;
-    if (count == 2) {
-      words_.pop_back();  // one id left, now in `lo`: a lone word again
-    } else {
-      words_[n - 1] = top - 1;
-    }
-    return id;
-  }
-
-  /// Visit every id on the stack once (runs in ascending id order).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      const FrameId w = words_[i];
-      if (i + 1 < words_.size() && (words_[i + 1] & kRun)) {
-        const FrameId count = words_[++i] & kCountMask;
-        for (FrameId k = 0; k < count; ++k) fn(w + k);
-      } else {
-        fn(w);
-      }
-    }
-  }
-
- private:
-  static constexpr FrameId kRun = FrameId{1} << 31;
-  static constexpr FrameId kDown = FrameId{1} << 30;
-  static constexpr FrameId kCountMask = kDown - 1;
-
-  std::vector<FrameId> words_;
-  std::uint64_t size_ = 0;
-};
-
 class PhysMem {
  public:
   /// Frame pool sized from the topology's per-node DRAM capacity, clamped to
   /// `max_frames_per_node` (0 = no clamp) so unit tests stay tiny.
+  ///
+  /// Node `n` owns the ids `n << index_bits() | index`. index_bits() is the
+  /// bit width of the largest node's highest index, capped at
+  /// 31 - bit_width(num_nodes - 1) so that every id stays below 2^31 (and
+  /// never meets kInvalidFrame). Only a node with more frames than
+  /// 2^index_bits() can run out of ids before it runs out of capacity: on a
+  /// 64-node topology, a node above 128 GiB.
   PhysMem(const topo::Topology& topo, Backing backing,
           std::uint64_t max_frames_per_node = 0);
 
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
 
-  /// Allocate a frame on exactly `node`; kInvalidFrame when the node is full
-  /// or (unless `use_reserve`) its free frames are at/below the min
-  /// watermark. `use_reserve` models GFP_ATOMIC-style dips into the reserve
-  /// pool: only a truly full node fails.
+  /// Allocate a frame on exactly `node`: its lowest free index, or a fresh
+  /// one when none is free. kInvalidFrame when the node is full or (unless
+  /// `use_reserve`) its free frames are at/below the min watermark.
+  /// `use_reserve` models GFP_ATOMIC-style dips into the reserve pool: only
+  /// a truly full node fails. Throws std::length_error, naming the node,
+  /// when a fresh index would reach 2^index_bits().
   FrameId alloc_on(topo::NodeId node, bool use_reserve = false);
 
   /// Allocate on `preferred`, falling back to other nodes in increasing hop
@@ -144,6 +62,9 @@ class PhysMem {
   /// zonelist walk). kInvalidFrame only when every node is exhausted.
   FrameId alloc_near(topo::NodeId preferred, bool use_reserve = false);
 
+  /// Return live frame `f` to its node. Throws std::logic_error naming `f`,
+  /// and changes nothing, when `f` is not live: a second free, an id never
+  /// handed out, or kInvalidFrame.
   void free(FrameId f);
 
   // --- memory-pressure model (Linux zone watermarks) -------------------------
@@ -167,8 +88,19 @@ class PhysMem {
   /// frames already allocated above the new cap stay valid until freed.
   void set_node_capacity(topo::NodeId n, std::uint64_t frames);
 
-  /// Home node of frame `f`.
-  topo::NodeId node_of(FrameId f) const { return frames_[f] & kNodeMask; }
+  /// Home node of frame `f` (reads no memory).
+  topo::NodeId node_of(FrameId f) const {
+    return static_cast<topo::NodeId>(f >> index_bits_);
+  }
+  /// Index of `f` on its node.
+  std::uint32_t index_of(FrameId f) const {
+    return f & ((FrameId{1} << index_bits_) - 1);
+  }
+  /// Bits of a FrameId that hold the index on its node.
+  unsigned index_bits() const { return index_bits_; }
+  /// Indices created on node `n` so far, live or free: every id handed out
+  /// on `n` has an index below this.
+  std::uint64_t created_frames(topo::NodeId n) const { return per_node_[n].created; }
 
   // --- shadow-frame accounting (transactional migration) ---------------------
   /// Mark/unmark `f` as a transactional shadow frame: a second physical copy
@@ -178,7 +110,11 @@ class PhysMem {
   void mark_shadow(FrameId f);
   void clear_shadow(FrameId f);
   bool is_shadow(FrameId f) const {
-    return f < frames_.size() && (frames_[f] & kShadow) != 0;
+    const topo::NodeId n = node_of(f);
+    if (n >= per_node_.size()) return false;
+    const std::vector<std::uint64_t>& bits = per_node_[n].shadow_bits;
+    const std::uint32_t i = index_of(f);
+    return i / 64 < bits.size() && ((bits[i / 64] >> (i % 64)) & 1) != 0;
   }
   std::uint64_t shadow_frames(topo::NodeId n) const {
     return per_node_[n].shadow;
@@ -195,9 +131,15 @@ class PhysMem {
   }
 
   /// Host backing of a materialized frame; nullptr for phantom frames.
-  std::byte* data(FrameId f) { return data_.empty() ? nullptr : data_[f].get(); }
+  std::byte* data(FrameId f) {
+    return backing_ == Backing::kPhantom
+               ? nullptr
+               : per_node_[node_of(f)].data[index_of(f)].get();
+  }
   const std::byte* data(FrameId f) const {
-    return data_.empty() ? nullptr : data_[f].get();
+    return backing_ == Backing::kPhantom
+               ? nullptr
+               : per_node_[node_of(f)].data[index_of(f)].get();
   }
 
   Backing backing() const { return backing_; }
@@ -219,17 +161,21 @@ class PhysMem {
   std::uint64_t tier_capacity_frames(topo::MemTier t) const;
 
   /// Allocator audit (hooked into Kernel::validate()): the per-tier totals
-  /// equal the per-node used counts, each node's used count equals its live
-  /// frames, and each node's free stack holds every one of its dead frames
-  /// exactly once and nothing else. Throws std::logic_error on drift.
+  /// equal the per-node used counts, and per node the used count equals the
+  /// created indices less the free ones, each summary bit matches its word
+  /// of free bits, no free bit lies at or past the created count or below
+  /// the hint, and shadow bits sit only on live frames, as many as the
+  /// shadow count. Throws std::logic_error on drift.
   void audit() const;
 
   /// True when `f` is a live allocated frame (consistency checks).
   bool is_live(FrameId f) const {
-    return f < frames_.size() && (frames_[f] & kInUse) != 0;
+    const topo::NodeId n = node_of(f);
+    if (n >= per_node_.size()) return false;
+    const NodePool& p = per_node_[n];
+    const std::uint32_t i = index_of(f);
+    return i < p.created && ((p.free_bits[i / 64] >> (i % 64)) & 1) == 0;
   }
-  /// Frames created so far: every FrameId handed out is below this.
-  std::uint64_t frame_id_limit() const { return frames_.size(); }
 
   /// Lifetime counters (diagnostics / tests).
   std::uint64_t total_allocs() const { return allocs_; }
@@ -237,15 +183,10 @@ class PhysMem {
   std::uint64_t fallback_allocs() const { return fallbacks_; }
 
  private:
-  // The frame byte (frames_): bits 0-5 hold the home node, which never
-  // changes; kInUse marks a live frame and kShadow one held by an in-flight
-  // transactional migration (never set without kInUse).
-  static constexpr std::uint8_t kNodeMask = 0x3F;
-  static constexpr std::uint8_t kInUse = 1u << 6;
-  static constexpr std::uint8_t kShadow = 1u << 7;
-  static_assert(topo::kMaxNodes - 1 <= kNodeMask,
-                "the frame byte's node bits must hold every NodeId");
-
+  // A node's frames are its indices [0, created): an index is created on
+  // first allocation and recycled through the free bits, never destroyed.
+  // No byte per frame remains: liveness is the free bit, and the node is
+  // the id's high bits.
   struct NodePool {
     std::uint64_t capacity = 0;
     std::uint64_t base_capacity = 0;  // construction-time size (cap ceiling)
@@ -255,22 +196,27 @@ class PhysMem {
     std::uint64_t watermark_blocks = 0;
     std::uint64_t reserve_allocs = 0;
     std::uint64_t shadow = 0;  // live frames currently marked shadow
-    FreeStack free_list;  // frames returned by free()
+    std::uint64_t created = 0;
+    std::vector<std::uint64_t> free_bits;  // bit i: index i is free
+    std::vector<std::uint64_t> summary;    // bit w: free_bits[w] != 0
+    std::size_t hint = 0;                  // summary words below are zero
+    std::vector<std::uint64_t> shadow_bits;  // sized on first mark_shadow
+    std::vector<std::unique_ptr<std::byte[]>> data;  // kMaterialized, by index
   };
 
   FrameId take_frame(topo::NodeId node, bool use_reserve);
-  /// Create frame id frame_id_limit() on `node`, live. Throws
-  /// std::length_error once ids would reach FreeStack::kIdLimit.
-  FrameId new_frame(topo::NodeId node);
+  /// The lowest free index of `pool`, now live; some index must be free.
+  static std::uint64_t take_lowest_free(NodePool& pool);
+  /// Create index `pool.created` of `node`, live.
+  std::uint64_t new_index(NodePool& pool, topo::NodeId node);
+  /// new_index's slow steps: at a word boundary, check the id limit and
+  /// grow the bitmaps; under materialized backing, add the host buffer.
+  void grow(NodePool& pool, topo::NodeId node);
+  [[noreturn]] static void throw_dead_free(FrameId f);
 
   const topo::Topology& topo_;
   Backing backing_;
-  // The frame table, dense and indexed by FrameId: a frame is created on
-  // first allocation and recycled through its node's free stack, never
-  // destroyed. Phantom backing keeps one byte per frame; materialized adds
-  // the 4 KiB host buffer, which survives recycling.
-  std::vector<std::uint8_t> frames_;                // node | kInUse | kShadow
-  std::vector<std::unique_ptr<std::byte[]>> data_;  // kMaterialized only
+  unsigned index_bits_ = 0;
   std::vector<NodePool> per_node_;
   std::vector<topo::MemTier> node_tier_;             // cached node -> tier
   std::array<std::uint64_t, 3> tier_used_{};         // live frames per tier
@@ -289,12 +235,40 @@ inline FrameId PhysMem::alloc_on(topo::NodeId node, bool use_reserve) {
 }
 
 inline void PhysMem::clear_shadow(FrameId f) {
-  assert(f < frames_.size());
-  if (frames_[f] & kShadow) {
-    frames_[f] &= static_cast<std::uint8_t>(~kShadow);
-    assert(per_node_[node_of(f)].shadow > 0);
-    --per_node_[node_of(f)].shadow;
+  assert(node_of(f) < per_node_.size());
+  NodePool& pool = per_node_[node_of(f)];
+  if (pool.shadow == 0) return;  // no shadow bit is set on this node
+  const std::uint32_t i = index_of(f);
+  if (i / 64 >= pool.shadow_bits.size()) return;
+  std::uint64_t& word = pool.shadow_bits[i / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if (word & bit) {
+    word &= ~bit;
+    --pool.shadow;
   }
+}
+
+inline std::uint64_t PhysMem::take_lowest_free(NodePool& pool) {
+  std::size_t s = pool.hint;
+  while (pool.summary[s] == 0) {
+    ++s;
+    assert(s < pool.summary.size());
+  }
+  pool.hint = s;
+  const auto w = s * 64 + static_cast<unsigned>(std::countr_zero(pool.summary[s]));
+  std::uint64_t& word = pool.free_bits[w];
+  const auto b = static_cast<unsigned>(std::countr_zero(word));
+  word &= word - 1;
+  if (word == 0) pool.summary[s] &= pool.summary[s] - 1;  // w's is the lowest bit
+  return w * 64 + b;
+}
+
+inline std::uint64_t PhysMem::new_index(NodePool& pool, topo::NodeId node) {
+  // A fresh index is live, so its free bit stays clear: most creations only
+  // count.
+  if (pool.created % 64 == 0 || backing_ == Backing::kMaterialized)
+    grow(pool, node);
+  return pool.created++;
 }
 
 inline FrameId PhysMem::take_frame(topo::NodeId node, bool use_reserve) {
@@ -309,33 +283,30 @@ inline FrameId PhysMem::take_frame(topo::NodeId node, bool use_reserve) {
     }
     ++pool.reserve_allocs;
   }
-  FrameId id;
-  if (!pool.free_list.empty()) {
-    id = pool.free_list.pop();
-    // A store, not a read-modify-write: the stack holds only ids homed on
-    // `node` (PhysMem::audit checks it).
-    frames_[id] = static_cast<std::uint8_t>(node | kInUse);
-  } else {
-    id = new_frame(node);
-  }
+  // created - used of the node's indices are free (PhysMem::audit checks it).
+  const std::uint64_t index =
+      pool.used < pool.created ? take_lowest_free(pool) : new_index(pool, node);
   ++pool.used;
   ++tier_used_[static_cast<std::size_t>(node_tier_[node])];
   ++allocs_;
-  return id;
+  return static_cast<FrameId>(node << index_bits_ | index);
 }
 
 inline void PhysMem::free(FrameId f) {
-  assert(is_live(f));
-  clear_shadow(f);
-  frames_[f] &= kNodeMask;
+  if (!is_live(f)) throw_dead_free(f);
   const topo::NodeId node = node_of(f);
   NodePool& pool = per_node_[node];
+  const std::uint32_t i = index_of(f);
+  const std::size_t w = i / 64;
+  pool.free_bits[w] |= std::uint64_t{1} << (i % 64);
+  pool.summary[w / 64] |= std::uint64_t{1} << (w % 64);
+  pool.hint = std::min(pool.hint, w / 64);
+  clear_shadow(f);
   assert(pool.used > 0);
   --pool.used;
   assert(tier_used_[static_cast<std::size_t>(node_tier_[node])] > 0);
   --tier_used_[static_cast<std::size_t>(node_tier_[node])];
   ++frees_;
-  pool.free_list.push(f);
 }
 
 }  // namespace numasim::mem

@@ -502,6 +502,47 @@ TEST_F(KernelTest, AccessFaultsWhereAnEndThatWrapsPast2To64Leaves) {
   k_.validate(pid_);
 }
 
+TEST_F(KernelTest, StridedRowsThatLeaveTheUserAddressSpaceFaultAsAccessDoes) {
+  ThreadCtx t = ctx_on(0);
+  const std::uint64_t len16 = 16 * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t, len16, vm::Prot::kReadWrite);
+  k_.access(t, a, len16, vm::Prot::kWrite, 3500.0);
+  auto fault_addr = [&](vm::Vaddr base, std::uint64_t rows, std::uint64_t row_bytes,
+                        std::uint64_t stride) -> std::uint64_t {
+    try {
+      k_.access_strided(t, base, rows, row_bytes, stride, vm::Prot::kRead, 0.0);
+    } catch (const SegfaultError& e) {
+      return e.fault_addr;
+    }
+    ADD_FAILURE() << "access_strided(" << base << ", " << rows << ", " << row_bytes
+                  << ", " << stride << ") did not fault";
+    return 0;
+  };
+  // A 17-page row faults at the first page past the mapping; so does one
+  // whose end wraps past 2^64 to 4096.
+  EXPECT_EQ(fault_addr(a, 1, len16 + mem::kPageSize, 0), a + len16);
+  const std::uint64_t wrapped = mem::kPageSize - a;
+  ASSERT_EQ(a + wrapped, mem::kPageSize);
+  EXPECT_EQ(fault_addr(a, 1, wrapped, 0), a + len16);
+  // The second row's start, a + stride, wraps to 4096: the row cannot be
+  // represented and faults at the top of the user address space, not at an
+  // address the caller never named.
+  constexpr vm::Vaddr kTop = vm::AddressSpace::kUserTop;
+  EXPECT_EQ(fault_addr(a, 2, mem::kPageSize, wrapped), kTop);
+  // Row 1 starts at a + 2^63 and faults there; row 2, whose offset 2 * 2^63
+  // wraps to 0 (back onto the mapping), is never touched.
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  EXPECT_EQ(fault_addr(a, 3, mem::kPageSize, kHalf), a + kHalf);
+  // A row that starts at or past kUserTop faults at its start.
+  EXPECT_EQ(fault_addr(kTop, 1, mem::kPageSize, 0), kTop);
+  EXPECT_EQ(fault_addr(a, 2, mem::kPageSize, kTop + mem::kPageSize - a),
+            kTop + mem::kPageSize);
+  // Rows below kUserTop still walk.
+  EXPECT_EQ(k_.access_strided(t, a, 16, 64, mem::kPageSize, vm::Prot::kRead, 0.0).pages,
+            16u);
+  k_.validate(pid_);
+}
+
 TEST_F(KernelTest, PagesOnNodeOfAnEmptyRangeIsZero) {
   ThreadCtx t = ctx_on(0);
   const std::uint64_t len = 4 * mem::kPageSize;

@@ -2,9 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <initializer_list>
+#include <optional>
 #include <random>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mem/phys.hpp"
@@ -56,38 +61,43 @@ TEST_F(PhysMemTest, FreeListReusesFrames) {
   const FrameId b = pm.alloc_on(1);
   EXPECT_EQ(a, b);
 
-  // Allocs and frees interleaved over three nodes. Fresh ids count up
-  // across nodes, and each node hands back its free frames last-freed
-  // first, as a std::vector stack does, whether they were freed as lone
-  // ids or as runs counting up (8..11) or down (12..9).
+  // Allocs and frees interleaved over three nodes. With 16 frames a node,
+  // node n owns the ids n << 4 | index; fresh indices count up from 0 on
+  // each node, and each node hands back its lowest free index first.
   PhysMem q(topo_, Backing::kPhantom, 16);
+  ASSERT_EQ(q.index_bits(), 4u);
   std::vector<FrameId> got;
   auto take = [&](std::initializer_list<topo::NodeId> nodes) {
     for (topo::NodeId n : nodes) got.push_back(q.alloc_on(n));
   };
-  auto drop = [&](std::initializer_list<FrameId> ids) {
-    for (FrameId f : ids) q.free(f);
+  auto drop = [&](std::initializer_list<std::size_t> taken) {  // positions in got
+    for (std::size_t i : taken) q.free(got[i]);
   };
   take({0, 1, 0, 2, 0, 1, 2, 0, 1, 1, 1, 1});
   drop({2, 0, 4, 8, 9, 10, 11, 3, 7, 6});
   take({0, 1, 1, 0, 2});
-  drop({10, 5});
+  drop({14, 5});
   take({1, 1, 1, 1, 1, 2, 0});
-  drop({12, 11, 10, 9});
+  drop({21, 13, 18, 19});
   take({1, 1, 0, 1});
-  EXPECT_EQ(got, (std::vector<FrameId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
-                                       10, 11, 7, 11, 10, 4, 6, 5, 10, 9,
-                                       8, 12, 3, 0, 9, 10, 2, 11}));
-  EXPECT_EQ(q.used_frames(1), 6u);  // 12 is node 1's only free frame
+  EXPECT_EQ(got, (std::vector<FrameId>{0, 16, 1, 32, 2, 17, 33, 3, 18, 19,
+                                       20, 21, 0, 18, 19, 1, 32, 17, 19, 20,
+                                       21, 22, 33, 2, 18, 19, 3, 20}));
+  EXPECT_EQ(q.used_frames(1), 6u);  // 22 is node 1's only free frame
+  EXPECT_EQ(q.created_frames(1), 7u);
   EXPECT_NO_THROW(q.audit());
 }
 
 TEST(PhysMemNodeBits, LastNodeOfTheWidestTopologySurvivesEveryStateChange) {
-  const topo::Topology topo = topo::Topology::from_spec("nodes=64 cores=1");
-  PhysMem pm(topo, Backing::kPhantom, 4);
+  // 64 nodes of 2^28 frames: the index width is capped at 31 - 6 = 25 bits,
+  // so node 63 owns the ids up to 2^31 - 1.
+  const topo::Topology topo =
+      topo::Topology::from_spec("nodes=64 cores=1 mem_gb=1024");
+  PhysMem pm(topo, Backing::kPhantom);
+  ASSERT_EQ(pm.index_bits(), 25u);
   ASSERT_EQ(pm.node_of(pm.alloc_on(62)), 62u);
   const FrameId f = pm.alloc_on(63);
-  ASSERT_NE(f, kInvalidFrame);
+  ASSERT_EQ(f, FrameId{63} << 25);
   EXPECT_EQ(pm.node_of(f), 63u);
   pm.mark_shadow(f);
   EXPECT_TRUE(pm.is_shadow(f));
@@ -108,97 +118,304 @@ TEST(PhysMemNodeBits, LastNodeOfTheWidestTopologySurvivesEveryStateChange) {
   EXPECT_NO_THROW(pm.audit());
 }
 
-// --- FreeStack ----------------------------------------------------------------
+TEST(PhysMemNodeBits, ANodePastItsIdRangeThrowsNamingTheNode) {
+  // Node 63 has 2^28 frames of capacity but 2^25 ids. Its last id is
+  // 2^31 - 1: no id sets bit 31, so none can equal kInvalidFrame.
+  const topo::Topology topo =
+      topo::Topology::from_spec("nodes=64 cores=1 mem_gb=1024");
+  PhysMem pm(topo, Backing::kPhantom);
+  constexpr FrameId kIds = FrameId{1} << 25;
+  for (FrameId i = 0; i < kIds; ++i) ASSERT_EQ(pm.alloc_on(63), 63 * kIds + i);
+  try {
+    (void)pm.alloc_on(63);
+    ADD_FAILURE() << "node 63 handed out an id past its range";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("node 63"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(pm.used_frames(63), kIds);
+  const FrameId top = (FrameId{1} << 31) - 1;
+  ASSERT_TRUE(pm.is_live(top));
+  pm.free(top);
+  EXPECT_EQ(pm.alloc_on(63), top);
+  EXPECT_NO_THROW(pm.audit());
+}
 
-TEST(FreeStackTest, PopsWhatAVectorStackPops) {
-  // Random pushes (runs counting up or down, ids next to the top, lone ids)
-  // and pops, with ids anywhere below the limit and often right under it.
-  constexpr FrameId kLimit = FreeStack::kIdLimit;
+TEST_F(PhysMemTest, FreeOfADeadFrameThrowsAndChangesNothing) {
+  PhysMem pm(topo_, Backing::kPhantom, 100);
+  const FrameId a = pm.alloc_on(1);
+  const FrameId b = pm.alloc_on(1);
+  pm.free(a);
+  const FrameId never = pm.alloc_on(2) + 5;  // index 5 of node 2 was never created
+  ASSERT_FALSE(pm.is_live(never));
+  for (const FrameId dead : {a, never, kInvalidFrame}) {
+    const std::uint64_t used1 = pm.used_frames(1), used2 = pm.used_frames(2);
+    const std::uint64_t frees = pm.total_frees();
+    try {
+      pm.free(dead);
+      ADD_FAILURE() << "freed dead frame " << dead;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(std::to_string(dead)), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(pm.used_frames(1), used1);
+    EXPECT_EQ(pm.used_frames(2), used2);
+    EXPECT_EQ(pm.total_frees(), frees);
+    EXPECT_FALSE(pm.is_live(dead));
+    EXPECT_NO_THROW(pm.audit());
+  }
+  // The double free did not put `a` on the free list twice.
+  EXPECT_EQ(pm.alloc_on(1), a);
+  EXPECT_EQ(pm.alloc_on(1), b + 1);
+  EXPECT_TRUE(pm.is_live(b));
+}
+
+// --- the allocator against a reference model -----------------------------------
+
+/// PhysMem's contract in plain containers: per node a capacity, watermarks,
+/// a created count and a std::set of free indices taken lowest first.
+struct AllocatorModel {
+  AllocatorModel(const topo::Topology& t, std::uint64_t frames, unsigned index_bits)
+      : topology(t), bits(index_bits), nodes(t.num_nodes()) {
+    for (Node& n : nodes) n.capacity = n.base = frames;
+  }
+
+  FrameId alloc_on(topo::NodeId n, bool reserve) {
+    Node& m = nodes[n];
+    if (m.used >= m.capacity) return kInvalidFrame;
+    if (m.capacity - m.used <= m.wm_min && !reserve) return kInvalidFrame;
+    std::uint64_t index = m.created;
+    if (m.free.empty()) {
+      ++m.created;
+    } else {
+      index = *m.free.begin();
+      m.free.erase(m.free.begin());
+    }
+    ++m.used;
+    const FrameId f = static_cast<FrameId>(n << bits | index);
+    live.insert(f);
+    return f;
+  }
+  FrameId alloc_near(topo::NodeId preferred, bool reserve) {
+    std::vector<topo::NodeId> order(nodes.size());
+    for (topo::NodeId n = 0; n < order.size(); ++n) order[n] = n;
+    std::stable_sort(order.begin(), order.end(), [&](topo::NodeId a, topo::NodeId b) {
+      return topology.hops(preferred, a) < topology.hops(preferred, b);
+    });
+    for (topo::NodeId n : order)
+      if (const FrameId f = alloc_on(n, reserve); f != kInvalidFrame) return f;
+    return kInvalidFrame;
+  }
+  void free(FrameId f) {
+    Node& m = nodes[f >> bits];
+    m.free.insert(f & ((FrameId{1} << bits) - 1));
+    --m.used;
+    live.erase(f);
+    shadow.erase(f);
+  }
+  void set_capacity(topo::NodeId n, std::uint64_t frames) {
+    nodes[n].capacity = std::min(frames, nodes[n].base);
+  }
+  void set_watermarks(topo::NodeId n, std::uint64_t min, std::uint64_t low) {
+    nodes[n].wm_min = min;
+    nodes[n].wm_low = std::max(min, low);
+  }
+
+  struct Node {
+    std::uint64_t capacity = 0, base = 0, used = 0, created = 0;
+    std::uint64_t wm_min = 0, wm_low = 0;
+    std::set<std::uint64_t> free;
+  };
+  const topo::Topology& topology;
+  unsigned bits;
+  std::vector<Node> nodes;
+  std::set<FrameId> live, shadow;
+};
+
+TEST(PhysMemModelTest, TakesWhatALowestFreeFirstModelTakes) {
+  // 4 nodes of 4,500 frames: 71 words of free bits, two summary words. Bursts
+  // fill a node past 4,096 frames, so the lowest free frame is often in the
+  // second summary word and the hint moves both ways.
+  const topo::Topology topo = topo::Topology::quad_opteron();
+  constexpr std::uint64_t kFrames = 4500;
   for (std::uint32_t seed = 1; seed <= 20; ++seed) {
     std::mt19937 rng(seed);
-    auto pick = [&](FrameId span) -> FrameId {
-      switch (rng() % 3) {
-        case 0: return static_cast<FrameId>(rng() % 1000);
-        case 1: return kLimit - 1 - static_cast<FrameId>(rng() % (1000 + span));
-        default: return static_cast<FrameId>(rng() % kLimit);
-      }
-    };
-    FreeStack fs;
-    std::vector<FrameId> ref;
-    auto push = [&](FrameId f) {
-      fs.push(f);
-      ref.push_back(f);
+    auto below = [&](std::uint64_t n) { return rng() % n; };
+    PhysMem pm(topo, Backing::kPhantom, kFrames);
+    ASSERT_EQ(pm.index_bits(), 13u);
+    AllocatorModel model(topo, kFrames, pm.index_bits());
+    std::vector<FrameId> touched;
+    auto pick_live = [&]() -> FrameId {
+      if (model.live.empty()) return kInvalidFrame;
+      // The live frame at or after a random id, wrapping to the first.
+      auto it = model.live.lower_bound(static_cast<FrameId>(below(4u << 13)));
+      return it == model.live.end() ? *model.live.begin() : *it;
     };
     for (int op = 0; op < 20000; ++op) {
-      const auto len = static_cast<FrameId>(1 + rng() % 40);
-      switch (rng() % 6) {
+      touched.clear();
+      const auto burst = 1 + below(below(8) == 0 ? 600 : 24);
+      const auto node = static_cast<topo::NodeId>(below(8) < 5 ? 0 : below(4));
+      const bool reserve = below(4) == 0;
+      switch (below(10)) {
         case 0:
         case 1:
-          for (FrameId i = 0; i < len && !ref.empty(); ++i) {
-            ASSERT_EQ(fs.pop(), ref.back()) << "seed " << seed << " op " << op;
-            ref.pop_back();
+        case 2:
+          for (std::uint64_t i = 0; i < burst; ++i) {
+            const FrameId f = pm.alloc_on(node, reserve);
+            ASSERT_EQ(f, model.alloc_on(node, reserve)) << "seed " << seed << " op " << op;
+            touched.push_back(f);
           }
           break;
-        case 2: {
-          const FrameId lo = std::min(pick(len), kLimit - len);
-          for (FrameId i = 0; i < len; ++i) push(lo + i);
+        case 3:
+          for (std::uint64_t i = 0; i < burst; ++i) {
+            const FrameId f = pm.alloc_near(node, reserve);
+            ASSERT_EQ(f, model.alloc_near(node, reserve)) << "seed " << seed << " op " << op;
+            touched.push_back(f);
+          }
+          break;
+        case 4:
+        case 5:
+        case 6:
+          for (std::uint64_t i = 0; i < burst && !model.live.empty(); ++i) {
+            const FrameId f = pick_live();
+            pm.free(f);
+            model.free(f);
+            touched.push_back(f);
+          }
+          break;
+        case 7:
+          for (std::uint64_t i = 0; i < burst && !model.live.empty(); ++i) {
+            const FrameId f = pick_live();
+            if (below(2) == 0) {
+              pm.mark_shadow(f);
+              model.shadow.insert(f);
+            } else {
+              pm.clear_shadow(f);
+              model.shadow.erase(f);
+            }
+            touched.push_back(f);
+          }
+          break;
+        case 8: {
+          const std::uint64_t cap = below(3) == 0 ? kFrames : below(kFrames + 100);
+          pm.set_node_capacity(node, cap);
+          model.set_capacity(node, cap);
           break;
         }
-        case 3: {
-          const FrameId hi = std::max(pick(len), len - 1);
-          for (FrameId i = 0; i < len; ++i) push(hi - i);
+        default: {
+          const std::uint64_t min = below(3) == 0 ? 0 : below(200);
+          const std::uint64_t low = below(400);
+          pm.set_node_watermarks(node, min, low);
+          model.set_watermarks(node, min, low);
           break;
         }
-        case 4:  // continue or reverse whatever is on top
-          if (!ref.empty() && ref.back() > 0 && ref.back() < kLimit - 1)
-            push(rng() % 2 ? ref.back() + 1 : ref.back() - 1);
-          break;
-        default:
-          push(pick(0));
       }
-      ASSERT_EQ(fs.size(), ref.size()) << "seed " << seed << " op " << op;
-      ASSERT_EQ(fs.empty(), ref.empty());
-      ASSERT_LE(fs.words(), ref.size());
+      touched.push_back(static_cast<FrameId>(below(4u << 13)));  // any id
+      for (topo::NodeId n = 0; n < 4; ++n) {
+        const AllocatorModel::Node& m = model.nodes[n];
+        ASSERT_EQ(pm.used_frames(n), m.used) << "seed " << seed << " op " << op;
+        ASSERT_EQ(pm.free_frames(n), m.used >= m.capacity ? 0 : m.capacity - m.used);
+        ASSERT_EQ(pm.created_frames(n), m.created);
+        ASSERT_EQ(pm.under_pressure(n), pm.free_frames(n) < m.wm_low);
+      }
+      for (const FrameId f : touched) {
+        ASSERT_EQ(pm.is_live(f), model.live.count(f) == 1) << "seed " << seed << " frame " << f;
+        ASSERT_EQ(pm.is_shadow(f), model.shadow.count(f) == 1) << "seed " << seed << " frame " << f;
+      }
+      ASSERT_EQ(pm.total_shadow_frames(), model.shadow.size());
+      ASSERT_NO_THROW(pm.audit()) << "seed " << seed << " op " << op;
     }
-    std::vector<FrameId> held;
-    fs.for_each([&](FrameId f) { held.push_back(f); });
-    std::vector<FrameId> want = ref;
-    std::sort(held.begin(), held.end());
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(held, want) << "seed " << seed;
-    while (!ref.empty()) {
-      ASSERT_EQ(fs.pop(), ref.back()) << "seed " << seed;
-      ref.pop_back();
-    }
-    EXPECT_TRUE(fs.empty());
-    EXPECT_EQ(fs.words(), 0u);
   }
 }
 
-TEST(FreeStackTest, ConsecutivePushesTakeTwoWords) {
-  constexpr FrameId kN = FrameId{1} << 20;
-  FreeStack up, down;
-  for (FrameId i = 0; i < kN; ++i) {
-    up.push(i);
-    down.push(kN - 1 - i);
-  }
-  EXPECT_EQ(up.words(), 2u);
-  EXPECT_EQ(down.words(), 2u);
-  EXPECT_EQ(up.size(), kN);
-  EXPECT_EQ(down.size(), kN);
-  EXPECT_EQ(up.pop(), kN - 1);
-  EXPECT_EQ(down.pop(), 0u);
+// --- topology specs through the allocator ---------------------------------------
 
-  // A run of two shrinks back to one word; runs reach the id limit.
-  FreeStack top;
-  top.push(FreeStack::kIdLimit - 1);
-  EXPECT_EQ(top.words(), 1u);
-  top.push(FreeStack::kIdLimit - 2);
-  EXPECT_EQ(top.words(), 2u);
-  EXPECT_EQ(top.pop(), FreeStack::kIdLimit - 2);
-  EXPECT_EQ(top.words(), 1u);
-  EXPECT_EQ(top.pop(), FreeStack::kIdLimit - 1);
-  EXPECT_TRUE(top.empty());
+TEST(PhysMemSpecFuzz, EverySpecIsRejectedOrAllocatesOnItsLastNode) {
+  // Specs drawn from the grammar's 19 keys and a pool of edge values. Each
+  // either fails with a SpecError or builds a topology whose PhysMem hands
+  // its last node a frame that maps back to that node.
+  const std::vector<std::string> keys = {
+      "nodes",   "cores",  "shape",   "link_bw", "hop_ns",  "dram_bw",
+      "dram_ns", "l3_mb",  "mem_gb",  "ghz",     "flops_per_cycle",
+      "tiers",   "fast_bw", "fast_ns", "fast_mb", "far_bw",  "far_wr_bw",
+      "far_ns",  "far_mb"};
+  const std::vector<std::string> edges = {
+      "0", "-1", "0.5", "1e-9", "nan", "inf", "1e30", "64", "65", "4294967296",
+      "17179869183", "", "junk"};
+  const std::vector<std::string> plain = {"0.5", "1", "2", "3", "4", "8", "1024"};
+  const std::vector<std::string> tiers = {
+      "fast:1", "dram:64", "fast:1,dram:63", "fast:0", "dram:65", "bogus:1",
+      "fast:", "fast:1,,dram:1", "fast:4294967296"};
+  const std::vector<std::string> shapes = {"ring", "line", "mesh", "star", "torus", ""};
+  std::mt19937 rng(2009);
+  auto pick = [&](const std::vector<std::string>& pool) {
+    return pool[rng() % pool.size()];
+  };
+  int built = 0, empty_last = 0, capped = 0;
+  for (int i = 0; i < 5000; ++i) {
+    // A third of the values are edge tokens. nodes= and cores= are usually
+    // given, tiers= often (and then often summing to nodes=), each other key
+    // now and then.
+    const auto nodes = static_cast<unsigned>(1 + rng() % 64);
+    std::string spec;
+    for (const std::string& key : keys) {
+      const bool required = key == "nodes" || key == "cores";
+      if (rng() % 20 >= (required ? 18u : key == "tiers" ? 12u : 3u)) continue;
+      std::string value = rng() % 3 == 0 ? pick(edges) : pick(plain);
+      if (key == "nodes" && rng() % 2) value = std::to_string(nodes);
+      if (key == "cores" && rng() % 2) value = "1";
+      if (key == "shape") value = pick(shapes);
+      if (key == "tiers") {
+        // Random counts summing to nodes=, listed in a random order.
+        std::vector<std::string> parts;
+        unsigned left = nodes;
+        const char* names[] = {"fast:", "far:", "dram:"};
+        for (int k = 0; k < 3; ++k) {
+          const auto count = k == 2 ? left : static_cast<unsigned>(rng() % (left + 1));
+          if (count != 0) parts.push_back(names[k] + std::to_string(count));
+          left -= count;
+        }
+        std::shuffle(parts.begin(), parts.end(), rng);
+        value.clear();
+        for (const std::string& part : parts) value += (value.empty() ? "" : ",") + part;
+        if (rng() % 3 == 0) value = pick(tiers);
+      }
+      spec += key + "=" + value + " ";
+    }
+    std::optional<topo::Topology> topo;
+    try {
+      topo.emplace(topo::Topology::from_spec(spec));
+    } catch (const topo::SpecError&) {
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "'" << spec << "' threw " << e.what();
+      continue;
+    }
+    ++built;
+    PhysMem pm(*topo, Backing::kPhantom);
+    const auto last = static_cast<topo::NodeId>(topo->num_nodes() - 1);
+    const unsigned cap = 31u - static_cast<unsigned>(std::bit_width(topo->num_nodes() - 1));
+    EXPECT_LE(pm.index_bits(), cap) << spec;
+    capped += pm.index_bits() == cap;
+    const FrameId f = pm.alloc_on(last);
+    if (pm.capacity_frames(last) == 0) {
+      EXPECT_EQ(f, kInvalidFrame) << spec;
+      ++empty_last;
+      continue;
+    }
+    ASSERT_NE(f, kInvalidFrame) << spec;
+    EXPECT_LT(f, FrameId{1} << 31) << spec;
+    EXPECT_EQ(pm.node_of(f), last) << spec;
+    pm.free(f);
+    EXPECT_FALSE(pm.is_live(f)) << spec;
+    EXPECT_EQ(pm.alloc_on(last), f) << spec;
+    EXPECT_EQ(pm.node_of(f), last) << spec;
+    EXPECT_NO_THROW(pm.audit()) << spec;
+  }
+  // Enough specs parse, some leave the last node without frames, and some
+  // hit the index-width cap.
+  EXPECT_GT(built, 500);
+  EXPECT_GT(empty_last, 0);
+  EXPECT_GT(capped, 0);
 }
 
 TEST_F(PhysMemTest, MaterializedFramesHaveData) {

@@ -293,12 +293,12 @@ TEST(MigrationPipeline, KmigratedFailuresStampTheDaemonClock) {
 
 // --- frame reuse ----------------------------------------------------------------
 
-TEST(MigrationPipeline, MovedBackPagesReuseTheLastFreedFrameFirst) {
+TEST(MigrationPipeline, MovedBackPagesTakeTheLowestFreeFramesInOrder) {
   // Eight pages move 0 -> 1 one at a time, so node 0 frees frames 0..7 in
-  // order (one run in its free stack), then move back one at a time and
-  // take them last-freed first. validate() runs after every move: a free
-  // stack that handed out an id but still held it fails the allocator
-  // audit there, before the id could be handed out twice.
+  // order, then move back one at a time and take node 0's lowest free frame
+  // each: frames 0..7 again, in order. validate() runs after every move: an
+  // allocator that handed out an id but still marked it free fails the
+  // allocator audit there, before the id could be handed out twice.
   Kernel k(KernelConfig{.topology = topo::Topology::quad_opteron(),
                         .backing = mem::Backing::kPhantom});
   const Pid pid = k.create_process();
@@ -324,7 +324,7 @@ TEST(MigrationPipeline, MovedBackPagesReuseTheLastFreedFrameFirst) {
   for (std::uint64_t i = 0; i < kN; ++i) move_one(i, 1);
   for (std::uint64_t i = 0; i < kN; ++i) {
     move_one(i, 0);
-    EXPECT_EQ(frame_of(i), kN - 1 - i);
+    EXPECT_EQ(frame_of(i), i);
   }
   EXPECT_EQ(k.pages_on_node(pid, a, kN * mem::kPageSize, 0), kN);
 }

@@ -32,6 +32,17 @@ Usage:
 `--csv` output instead (used to seed the file from an older checkout).
 --check runs the built-in self-test (no benchmark binary needed) and exits
 0/1; CI invokes it so gate bugs fail fast instead of mis-gating a PR.
+
+Paired mode measures the change against its parent on the same machine in
+the same minutes, so machine speed cancels out:
+  tools/bench_trajectory.py --bench build/bench/microbench_simcore \
+      --parent-bench ../parent/build/bench/microbench_simcore \
+      [--runs 8] [--pin 2] [...]
+runs the parent's binary and the change's alternately, --runs times each
+(under `taskset -c CPU` with --pin), and keeps each side's fastest value per
+row. The entry records the parent's total and `vs_parent`, the change over
+the parent on the rows both have, and the gate also fails when `vs_parent`
+exceeds 1 + threshold. The best-prior gate applies as without the flag.
 """
 
 import argparse
@@ -49,10 +60,43 @@ DEFAULT_VALUE_COL = "wall_ms"
 DEFAULT_CHECKSUM_COL = "checksum"
 
 
-def run_bench(bench, extra_args):
-    out = subprocess.run([bench] + extra_args + ["--csv"], check=True,
+def run_bench(bench, extra_args, pin=None):
+    prefix = ["taskset", "-c", str(pin)] if pin is not None else []
+    out = subprocess.run(prefix + [bench] + extra_args + ["--csv"], check=True,
                          capture_output=True, text=True).stdout
     return out
+
+
+def require_binary(path, what):
+    if not (os.path.isfile(path) and os.access(path, os.X_OK)):
+        sys.exit(f"bench_trajectory: {what} binary {path!r} is missing or "
+                 "not executable")
+
+
+def fastest_rows(runs, key_cols, value_col):
+    """Merge the row lists of several runs: per row key, the lowest value
+    (and the first run's other columns), in first-seen order."""
+    best = {}
+    for rows in runs:
+        for r in rows:
+            k = row_key(r, key_cols)
+            if k not in best or r[value_col] < best[k][value_col]:
+                best[k] = dict(best.get(k, r), **{value_col: r[value_col]})
+    return list(best.values())
+
+
+def run_paired(args, extra_args, parse):
+    """Run the change's and the parent's binaries alternately, args.runs
+    times each, swapping which goes first every round. Returns the fastest
+    rows of (change, parent)."""
+    require_binary(args.bench, "change")
+    require_binary(args.parent_bench, "parent")
+    change_runs, parent_runs = [], []
+    for i in range(args.runs):
+        order = [(args.parent_bench, parent_runs), (args.bench, change_runs)]
+        for bench, runs in (order if i % 2 == 0 else order[::-1]):
+            runs.append(parse(run_bench(bench, extra_args, args.pin)))
+    return change_runs, parent_runs
 
 
 def parse_rows(text, key_cols, value_col, checksum_col):
@@ -124,7 +168,15 @@ def compare_common(rows, prior_entries, key_cols=None, value_col=None):
     return best_ratio, best_entry
 
 
-def append_and_gate(rows, args, key_cols, value_col, checksum_col):
+def checksums_differ(rows, other_rows, key_cols, checksum_col):
+    """True when a row key both lists contain carries different checksums."""
+    other = {row_key(r, key_cols): r.get(checksum_col) for r in other_rows}
+    return any(other.get(row_key(r, key_cols), r[checksum_col])
+               != r[checksum_col] for r in rows)
+
+
+def append_and_gate(rows, args, key_cols, value_col, checksum_col,
+                    parent_rows=None):
     total = round(sum(r[value_col] for r in rows), 3)
     data = load_history(args.file)
 
@@ -138,15 +190,22 @@ def append_and_gate(rows, args, key_cols, value_col, checksum_col):
         f"total_{value_col}": total,
         "rows": rows,
     }
+    vs_parent = None
+    if parent_rows is not None:
+        entry[f"parent_total_{value_col}"] = round(
+            sum(r[value_col] for r in parent_rows), 3)
+        vs_parent, _ = compare_common(rows, [{"rows": parent_rows}],
+                                      key_cols, value_col)
+        if vs_parent is not None:
+            entry["vs_parent"] = round(vs_parent, 3)
+        if checksums_differ(rows, parent_rows, key_cols, checksum_col):
+            print("bench_trajectory: NOTE simulated-behaviour checksums "
+                  "differ from the parent's", file=sys.stderr)
     best_ratio, _ = compare_common(rows, prior, key_cols, value_col)
     if best_ratio is not None:
         entry["vs_best_prior"] = round(best_ratio, 3)
-        last = prior[-1]
-        last_by_key = {row_key(r, key_cols): r.get(checksum_col)
-                       for r in last.get("rows", [])}
-        if any(last_by_key.get(row_key(r, key_cols),
-                               r[checksum_col]) != r[checksum_col]
-               for r in rows):
+        if checksums_differ(rows, prior[-1].get("rows", []), key_cols,
+                            checksum_col):
             print("bench_trajectory: NOTE simulated-behaviour checksums "
                   "changed vs previous entry (golden tests gate whether "
                   "that is allowed)", file=sys.stderr)
@@ -158,8 +217,17 @@ def append_and_gate(rows, args, key_cols, value_col, checksum_col):
     print(f"bench_trajectory: appended entry ({total} {value_col} total, "
           f"{len(rows)} rows) to {args.file}")
 
-    if best_ratio is not None and not args.no_gate:
-        limit = 1.0 + args.threshold
+    if args.no_gate:
+        return
+    limit = 1.0 + args.threshold
+    if vs_parent is not None:
+        if vs_parent > limit:
+            sys.exit(f"bench_trajectory: REGRESSION common-row {value_col} "
+                     f"{vs_parent:.3f}x the parent exceeds "
+                     f"{limit:.3f}x (threshold {args.threshold:.0%})")
+        print(f"bench_trajectory: OK {vs_parent:.3f}x vs the parent "
+              "over common rows")
+    if best_ratio is not None:
         if best_ratio > limit:
             sys.exit(f"bench_trajectory: REGRESSION common-row {value_col} "
                      f"{best_ratio:.3f}x best prior exceeds "
@@ -178,8 +246,9 @@ def git_commit():
 
 
 def self_check():
-    """Exercise the load tolerance and the intersection gate in a tempdir;
-    prints one line per case and exits 1 on the first failure."""
+    """Exercise the load tolerance, the intersection gate and the paired
+    parent gate in a tempdir; prints one line per case and exits 1 if any
+    fails."""
     failures = []
     default_keys = DEFAULT_KEY_COLS.split(",")
 
@@ -277,6 +346,65 @@ def self_check():
         case("int/str key normalization",
              ratio is not None and abs(ratio - 1.0) < 1e-9)
 
+        merged = fastest_rows([[row("a", 3.0, "01"), row("b", 1.0)],
+                               [row("a", 2.0, "02"), row("c", 5.0)]],
+                              default_keys, "wall_ms")
+        case("fastest row per key across runs",
+             merged == [row("a", 2.0, "01"), row("b", 1.0), row("c", 5.0)])
+
+        case("checksum drift on shared rows only",
+             checksums_differ([row("a", 1.0, "01"), row("new", 1.0, "02")],
+                              [row("a", 2.0, "ff"), row("old", 1.0, "02")],
+                              default_keys, "checksum")
+             and not checksums_differ([row("a", 1.0, "01"), row("new", 1.0)],
+                                      [row("a", 2.0, "01"), row("old", 1.0)],
+                                      default_keys, "checksum"))
+
+        # Paired mode end to end, with stand-in binaries that print the CSV.
+        # Each one's first run is twice as slow, so only a per-row minimum
+        # over the runs gives the ratio the case names.
+        def fake_bench(name, ms):
+            path = os.path.join(d, name)
+            with open(path, "w") as f:
+                f.write(f"#!{sys.executable}\n"
+                        "import os\n"
+                        f"state = {path + '.runs'!r}\n"
+                        "n = int(open(state).read()) if os.path.exists(state) else 0\n"
+                        "open(state, 'w').write(str(n + 1))\n"
+                        f"ms = {ms} * (2.0 if n == 0 else 1.0)\n"
+                        "print('scenario,nodes,pages,lock_model,wall_ms,checksum')\n"
+                        "print(f'a,2,4096,coarse,{ms},00')\n"
+                        "print(f'b,2,4096,coarse,{ms},00')\n")
+            os.chmod(path, 0o755)
+            return path
+
+        def paired(change_ms, parent):
+            history = os.path.join(d, f"paired_{change_ms}.json")
+            r = subprocess.run(
+                [sys.executable, os.path.abspath(__file__),
+                 "--bench", fake_bench(f"change_{change_ms}", change_ms),
+                 "--parent-bench", parent, "--runs", "3", "--file", history,
+                 "--commit", "test"],
+                capture_output=True, text=True)
+            entries = load_history(history)["entries"]
+            return r, entries[-1] if entries else None
+
+        parent = fake_bench("parent", 1.0)
+        r, e = paired(1.05, parent)
+        case("paired entry at 1.05x the parent passes",
+             r.returncode == 0 and e is not None
+             and e.get("vs_parent") == 1.05
+             and e.get("parent_total_wall_ms") == 2.0
+             and e.get("total_wall_ms") == 2.1)
+        r, e = paired(1.15, parent)
+        case("paired entry at 1.15x the parent fails",
+             r.returncode != 0 and "REGRESSION" in r.stderr
+             and e is not None and e.get("vs_parent") == 1.15)
+        r, e = paired(1.0, os.path.join(d, "no_such_parent"))
+        case("missing parent binary -> clean error, nothing appended",
+             r.returncode != 0 and "missing" in r.stderr
+             and "Traceback" not in r.stderr and e is None)
+
     if failures:
         sys.exit(f"bench_trajectory --check: {len(failures)} failure(s)")
     print("bench_trajectory --check: all cases passed")
@@ -299,6 +427,14 @@ def main():
                     help="numeric column the gate tracks")
     ap.add_argument("--checksum-col", default=DEFAULT_CHECKSUM_COL,
                     help="simulated-behaviour fingerprint column")
+    ap.add_argument("--parent-bench",
+                    help="the parent commit's bench binary: run both "
+                         "alternately and gate the change against it too")
+    ap.add_argument("--runs", type=int, default=5,
+                    help="runs of each binary with --parent-bench; each "
+                         "side keeps its fastest value per row (default 5)")
+    ap.add_argument("--pin", type=int, default=None, metavar="CPU",
+                    help="run the bench binaries under taskset -c CPU")
     ap.add_argument("--csv-in", help="ingest this CSV instead of running")
     ap.add_argument("--no-gate", action="store_true",
                     help="append without the regression check")
@@ -314,16 +450,29 @@ def main():
     if not key_cols:
         ap.error("--key-cols must name at least one column")
 
-    if args.csv_in:
+    def parse(text):
+        return parse_rows(text, key_cols, args.value_col, args.checksum_col)
+
+    parent_rows = None
+    if args.parent_bench:
+        if not args.bench or args.csv_in:
+            ap.error("--parent-bench needs --bench and no --csv-in")
+        if args.runs < 1:
+            ap.error("--runs must be at least 1")
+        change_runs, parent_runs = run_paired(args, args.bench_args.split(),
+                                              parse)
+        rows = fastest_rows(change_runs, key_cols, args.value_col)
+        parent_rows = fastest_rows(parent_runs, key_cols, args.value_col)
+    elif args.csv_in:
         with open(args.csv_in) as f:
-            text = f.read()
+            rows = parse(f.read())
     elif args.bench:
-        text = run_bench(args.bench, args.bench_args.split())
+        rows = parse(run_bench(args.bench, args.bench_args.split(), args.pin))
     else:
         ap.error("one of --bench or --csv-in is required")
-    rows = parse_rows(text, key_cols, args.value_col, args.checksum_col)
 
-    append_and_gate(rows, args, key_cols, args.value_col, args.checksum_col)
+    append_and_gate(rows, args, key_cols, args.value_col, args.checksum_col,
+                    parent_rows)
 
 
 if __name__ == "__main__":
