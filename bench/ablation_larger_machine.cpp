@@ -16,10 +16,7 @@ namespace {
 
 sim::Time run_lu(const topo::Topology& topo, std::uint64_t n, std::uint64_t bs,
                  bool nt) {
-  rt::Machine::Config mc;
-  mc.topology = topo;
-  mc.backing = mem::Backing::kPhantom;
-  rt::Machine m(mc);
+  rt::Machine m(bench::phantom_kernel_config(topo));
   bench::observe(m);
   rt::Team team = rt::Team::all_cores(m);
   apps::LuConfig cfg;
@@ -34,7 +31,9 @@ sim::Time run_lu(const topo::Topology& topo, std::uint64_t n, std::uint64_t bs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = numasim::bench::parse_options(argc, argv);
+  // --tier-spec would replace every ring of the sweep with one machine.
+  const auto opts =
+      numasim::bench::parse_options(argc, argv, {.tier_spec = false});
   numasim::bench::Observability obsv(opts);
   const std::uint64_t n = opts.quick ? 2048 : 4096;
   const std::uint64_t bs = 512;

@@ -52,7 +52,9 @@ RunResult run_one(kern::LockModel model, std::uint64_t npages, unsigned nthreads
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = numasim::bench::parse_options(argc, argv);
+  // The sweep sets the lock model itself.
+  const auto opts =
+      numasim::bench::parse_options(argc, argv, {.lock_model = false});
   numasim::bench::Observability obsv(opts);
 
   std::vector<std::string> cols{"pages"};

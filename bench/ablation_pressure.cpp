@@ -39,7 +39,7 @@ Result run(const topo::Topology& t, std::uint64_t max_frames,
   bench::observe(k);
   const kern::Pid pid = k.create_process("pressure");
   kern::EventLog log(1 << 20);
-  k.set_event_log(&log);
+  k.add_trace_sink(&log);
 
   kern::ThreadCtx owner;
   owner.pid = pid;
@@ -81,7 +81,7 @@ Result run(const topo::Topology& t, std::uint64_t max_frames,
   r.degraded = user_nt ? unt.stats().pages_failed
                        : log.count(kern::EventType::kNextTouchDegraded);
   k.validate(pid);
-  k.set_event_log(nullptr);
+  k.remove_trace_sink(&log);
   return r;
 }
 

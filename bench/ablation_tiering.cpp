@@ -122,7 +122,9 @@ std::vector<std::string> row_of(unsigned occ, const char* mode, bool demotion,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = numasim::bench::parse_options(argc, argv);
+  // The sweep sets the migration engine and the demotion switch itself.
+  const auto opts = numasim::bench::parse_options(
+      argc, argv, {.migration_mode = false, .demotion = false});
   numasim::bench::Observability obsv(opts);
 
   numasim::bench::print_header(

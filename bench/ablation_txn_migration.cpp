@@ -104,7 +104,9 @@ std::vector<std::string> row_of(unsigned occ, const char* mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = numasim::bench::parse_options(argc, argv);
+  // The sweep sets the migration engine itself.
+  const auto opts =
+      numasim::bench::parse_options(argc, argv, {.migration_mode = false});
   numasim::bench::Observability obsv(opts);
 
   numasim::bench::print_header(

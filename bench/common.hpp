@@ -65,33 +65,73 @@ inline const char*& extra_usage() {
   return text;
 }
 
+/// The machine-wide flags a binary may refuse, one per KernelConfig field
+/// that phantom_kernel_config takes from Options. A binary accepts a flag
+/// only when every machine it builds takes that field from
+/// phantom_kernel_config and keeps it; parse_options refuses the others
+/// with exit 2, so no flag is parsed and then dropped. --stlb is not here:
+/// every binary applies it.
+struct MachineFlags {
+  bool lock_model = true;      ///< --lock-model
+  bool migration_mode = true;  ///< --migration-mode
+  bool tier_spec = true;       ///< --tier-spec
+  bool demotion = true;        ///< --demotion
+};
+
+/// The running binary's accepted machine-wide flags; parse_options() sets
+/// it, print_usage() lists only these.
+inline MachineFlags& accepted_flags() {
+  static MachineFlags accepted;
+  return accepted;
+}
+
+/// One machine-wide flag: its name, the MachineFlags member that admits it,
+/// and its usage lines.
+struct MachineFlagDoc {
+  const char* name;
+  bool MachineFlags::*accepted;
+  const char* synopsis;
+  const char* help;
+};
+
+inline constexpr MachineFlagDoc kMachineFlagDocs[] = {
+    {"--lock-model", &MachineFlags::lock_model, "[--lock-model=coarse|range]",
+     "  --lock-model=M migration locking: coarse (paper-faithful\n"
+     "                 default) or range (scalable engine)\n"},
+    {"--migration-mode", &MachineFlags::migration_mode,
+     "[--migration-mode=stop_and_copy|transactional]",
+     "  --migration-mode=M  page-migration engine: stop_and_copy\n"
+     "                 (paper-faithful default) or transactional\n"
+     "                 (shadow-copy with dirty retry)\n"},
+    {"--tier-spec", &MachineFlags::tier_spec, "[--tier-spec=SPEC]",
+     "  --tier-spec=S  override the machine with a topology spec\n"
+     "                 (topo::Topology::from_spec grammar, e.g.\n"
+     "                 \"nodes=2 cores=4 tiers=fast:1,dram:1\");\n"
+     "                 a tiered spec enables tier promote/demote\n"},
+    {"--demotion", &MachineFlags::demotion, "[--demotion=on|off]",
+     "  --demotion=D   tier demotion on|off (default on; only\n"
+     "                 meaningful on a tiered machine)\n"},
+};
+
 inline void print_usage(const char* prog) {
+  const MachineFlags& accepted = accepted_flags();
   std::fprintf(stderr,
                "usage: %s [--csv] [--quick] [--metrics] [--trace=FILE]\n"
-               "          [--lock-model=coarse|range]\n"
-               "          [--migration-mode=stop_and_copy|transactional]\n"
-               "          [--tier-spec=SPEC] [--demotion=on|off]\n"
-               "          [--stlb=on|off]\n"
-               "  --csv          machine-readable output\n"
-               "  --quick        reduced sweeps for smoke runs\n"
-               "  --metrics      print a metrics report to stderr on exit\n"
-               "  --trace=FILE   write a Chrome trace-event JSON file\n"
-               "                 (open in chrome://tracing or ui.perfetto.dev)\n"
-               "  --lock-model=M migration locking: coarse (paper-faithful\n"
-               "                 default) or range (scalable engine)\n"
-               "  --migration-mode=M  page-migration engine: stop_and_copy\n"
-               "                 (paper-faithful default) or transactional\n"
-               "                 (shadow-copy with dirty retry)\n"
-               "  --tier-spec=S  override the machine with a topology spec\n"
-               "                 (topo::Topology::from_spec grammar, e.g.\n"
-               "                 \"nodes=2 cores=4 tiers=fast:1,dram:1\");\n"
-               "                 a tiered spec enables tier promote/demote\n"
-               "  --demotion=D   tier demotion on|off (default on; only\n"
-               "                 meaningful with a tiered --tier-spec)\n"
-               "  --stlb=S       soft-TLB access fast path on|off (default\n"
-               "                 on; host-side only — simulated events are\n"
-               "                 identical either way)\n",
+               "          [--stlb=on|off]\n",
                prog);
+  for (const MachineFlagDoc& f : kMachineFlagDocs)
+    if (accepted.*f.accepted) std::fprintf(stderr, "          %s\n", f.synopsis);
+  std::fputs("  --csv          machine-readable output\n"
+             "  --quick        reduced sweeps for smoke runs\n"
+             "  --metrics      print a metrics report to stderr on exit\n"
+             "  --trace=FILE   write a Chrome trace-event JSON file\n"
+             "                 (open in chrome://tracing or ui.perfetto.dev)\n"
+             "  --stlb=S       soft-TLB access fast path on|off (default\n"
+             "                 on; host-side only — simulated events are\n"
+             "                 identical either way)\n",
+             stderr);
+  for (const MachineFlagDoc& f : kMachineFlagDocs)
+    if (accepted.*f.accepted) std::fputs(f.help, stderr);
   if (extra_usage() != nullptr) std::fputs(extra_usage(), stderr);
 }
 
@@ -125,7 +165,10 @@ inline bool parse_enum_flag(const char* prog, const char* arg, const char* flag,
   std::exit(2);
 }
 
-inline Options parse_options(int argc, char** argv) {
+/// Parse the common flags into current_options(). `accepts` names the
+/// machine-wide flags this binary's machines apply; any other is a usage
+/// error that names the flag.
+inline Options parse_options(int argc, char** argv, MachineFlags accepts = {}) {
   static constexpr EnumFlagOption<kern::LockModel> kLockModels[] = {
       {"coarse", kern::LockModel::kCoarse},
       {"range", kern::LockModel::kRange},
@@ -138,9 +181,22 @@ inline Options parse_options(int argc, char** argv) {
       {"on", true},
       {"off", false},
   };
+  accepted_flags() = accepts;
   Options o;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    for (const MachineFlagDoc& f : kMachineFlagDocs) {
+      const std::size_t n = std::strlen(f.name);
+      if (accepts.*f.accepted || std::strncmp(a, f.name, n) != 0 ||
+          (a[n] != '=' && a[n] != '\0'))
+        continue;
+      std::fprintf(stderr,
+                   "%s: %s is not accepted: this benchmark sets that machine "
+                   "setting itself\n",
+                   argv[0], f.name);
+      print_usage(argv[0]);
+      std::exit(2);
+    }
     if (std::strcmp(a, "--csv") == 0) {
       o.csv = true;
     } else if (std::strcmp(a, "--quick") == 0) {

@@ -44,11 +44,8 @@ struct Scenario {
 };
 
 kern::KernelConfig config_for(const topo::Topology& topo, kern::LockModel lm) {
-  kern::KernelConfig cfg;
-  cfg.topology = topo;
-  cfg.backing = mem::Backing::kPhantom;
+  kern::KernelConfig cfg = bench::phantom_kernel_config(topo);
   cfg.lock_model = lm;
-  cfg.stlb = bench::current_options().stlb;
   return cfg;
 }
 
@@ -247,7 +244,9 @@ std::vector<std::uint64_t> parse_list(const char* prog, const char* flag,
 
 int main(int argc, char** argv) {
   // Matrix axes are local flags; everything else (--csv/--quick/--metrics/
-  // --trace=/--lock-model=...) goes through the shared strict parser.
+  // --trace=/--stlb=...) goes through the shared strict parser. The matrix
+  // sweeps lock models and node counts itself, so it refuses --lock-model
+  // and --tier-spec.
   std::vector<std::uint64_t> nodes_axis;
   std::vector<std::uint64_t> pages_axis;
   std::vector<char*> rest;
@@ -272,7 +271,8 @@ int main(int argc, char** argv) {
     }
   }
   const bench::Options opt =
-      bench::parse_options(static_cast<int>(rest.size()), rest.data());
+      bench::parse_options(static_cast<int>(rest.size()), rest.data(),
+                           {.lock_model = false, .tier_spec = false});
   bench::Observability obs(opt);
 
   if (nodes_axis.empty()) nodes_axis = opt.quick ? std::vector<std::uint64_t>{4}

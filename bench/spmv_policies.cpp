@@ -10,9 +10,7 @@ using namespace numasim;
 namespace {
 
 apps::SpmvResult run(apps::SpmvConfig cfg) {
-  rt::Machine::Config mc;
-  mc.backing = mem::Backing::kPhantom;
-  rt::Machine m(mc);
+  rt::Machine m(bench::phantom_config());
   bench::observe(m);
   rt::Team team = rt::Team::all_cores(m);
   apps::Spmv app(m, team, cfg);

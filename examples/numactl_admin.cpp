@@ -32,7 +32,7 @@ int main() {
   kern::Kernel k(kern::KernelConfig{.topology = topo,
                                     .backing = mem::Backing::kPhantom});
   kern::EventLog log;
-  k.set_event_log(&log);
+  k.add_trace_sink(&log);
 
   // Two tenant processes, both initially packed onto nodes 0 and 1.
   const kern::Pid alice = k.create_process("alice");

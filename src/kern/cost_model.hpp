@@ -70,7 +70,6 @@ struct CostModel {
   Time madvise_base = 1200;
   Time madvise_page_mark = 150;   ///< clear hw bits + set PTE next-touch flag
   Time nt_fault_control = 600;    ///< alloc + remap in the fault path
-  Time nt_fault_locked = 450;     ///< portion under the page-table lock
 
   // --- replication (extension; paper future work) -------------------------------
   Time replica_control = 700;    ///< per-replica create/collapse bookkeeping

@@ -1,14 +1,13 @@
 // Kernel event log: a bounded trace of memory-management events.
 //
-// Attach with Kernel::set_event_log(); the kernel then records faults,
-// migrations, markings and signals with their simulated timestamps. Tools
-// (examples, debugging sessions) render the trace as text or CSV — the
-// simulated analogue of ftrace's mm events.
+// Attach with Kernel::add_trace_sink() (detach with remove_trace_sink());
+// the kernel then records faults, migrations, markings and signals with
+// their simulated timestamps. Tools (examples, debugging sessions) render
+// the trace as text or CSV — the simulated analogue of ftrace's mm events.
 //
 // The log is one obs::TraceSink among others: it subscribes to the kernel's
 // tracepoint stream and keeps the instant events whose names match the
-// legacy mm event types, ignoring spans and app annotations. Attaching via
-// Kernel::add_trace_sink() is equivalent to set_event_log().
+// legacy mm event types, ignoring spans and app annotations.
 #pragma once
 
 #include <cstdint>

@@ -137,16 +137,6 @@ struct KernelConfig {
   /// stalling.
   MigrationMode migration_mode = MigrationMode::kStopAndCopy;
   std::uint64_t max_frames_per_node = 0;  ///< 0 = topology default
-  /// Next-touch migrate-ahead: on each next-touch fault, up to this many
-  /// further contiguous next-touch pages are handed to the faulting node's
-  /// kmigrated daemon as one async batch. 0 (default) keeps the
-  /// paper-faithful synchronous behaviour.
-  std::uint64_t nt_async_window = 0;
-  /// Fault plan applied at construction (empty = no injector attached, no
-  /// randomness drawn). The kernel owns the resulting injector;
-  /// set_fault_injector() overrides it with an external one.
-  FaultPlan fault_plan{};
-  std::uint64_t fault_seed = 0;
   /// Automatic NUMA balancing (hint-fault sampling + migrate-on-fault).
   /// Disabled by default; see kern/numab.hpp and docs/scheduling.md.
   NumaBalancingConfig numa_balancing{};
@@ -286,28 +276,19 @@ class Kernel {
   const KernelConfig& config() const { return cfg_; }
   const topo::Topology& topo() const { return topo_; }
   const CostModel& cost() const { return cost_; }
-  CostModel& cost_mutable() { return cost_; }
-  HwState& hw() { return hw_; }
   mem::PhysMem& phys() { return phys_; }
   const mem::PhysMem& phys() const { return phys_; }
   const KernelStats& stats() const { return kstats_; }
-  LockModel lock_model() const { return cfg_.lock_model; }
-  MigrationMode migration_mode() const { return cfg_.migration_mode; }
 
   // --- observability ----------------------------------------------------------
   /// Subscribe a tracepoint sink: every kernel tracepoint (instant events
   /// and duration spans) fans out to each attached sink, stamped with the
-  /// emitting thread's simulated clock. Sinks are not owned. With no sinks
-  /// attached the tracepoints reduce to one empty-vector check — no
-  /// simulated cost, no randomness, byte-identical timing.
+  /// emitting thread's simulated clock. Sinks are not owned; an EventLog is
+  /// one. With no sinks attached the tracepoints reduce to one empty-vector
+  /// check — no simulated cost, no randomness, byte-identical timing.
   void add_trace_sink(obs::TraceSink* sink);
   void remove_trace_sink(obs::TraceSink* sink);
   bool tracing() const { return !sinks_.empty(); }
-
-  /// Legacy convenience: attach/detach an EventLog (nullptr = off; not
-  /// owned). The log is an obs::TraceSink; this manages its subscription.
-  void set_event_log(EventLog* log);
-  EventLog* event_log() { return elog_; }
 
   /// Attach/detach a metrics registry (nullptr = off; not owned). The
   /// kernel binds every NUMASIM_KERNEL_COUNTERS row as a "kern.*" counter,
@@ -333,7 +314,6 @@ class Kernel {
   /// detaching restores the original capacities. With no injector the
   /// kernel draws no randomness and charges baseline costs exactly.
   void set_fault_injector(FaultInjector* inj);
-  FaultInjector* fault_injector() { return injector_; }
 
   // --- process management ----------------------------------------------------
   Pid create_process(std::string name = {});
@@ -386,7 +366,8 @@ class Kernel {
   /// overhead"): one call migrates whole ranges. The kernel walks pages
   /// sequentially (no per-page virtual-address lookup, no status array),
   /// so the per-page control cost drops and the base cost amortizes over
-  /// all ranges. Returns count() = pages migrated, or error().
+  /// all ranges. Returns count() = pages migrated, or error(); an invalid
+  /// range fails the whole call before any page moves.
   SyscallResult sys_move_pages_ranged(ThreadCtx& t,
                                       std::span<const MoveRange> ranges);
 
@@ -404,8 +385,6 @@ class Kernel {
   /// clock advances to the last batch completion (the wait is attributed to
   /// kLockWait, as any other queueing delay).
   void kmigrated_drain(ThreadCtx& t);
-
-  const Kmigrated& kmigrated() const { return kmigrated_; }
 
   // --- batched lower-level entry points (used by the runtime so concurrent
   // --- threads interleave at realistic lock granularity) ----------------------
@@ -523,7 +502,7 @@ class Kernel {
   /// only, charges nothing.
   std::vector<double> numab_task_faults(Pid pid, ThreadId tid, sim::Time now);
   /// The node holding the largest decayed fault score of (pid, tid),
-  /// provided it owns at least `hot_threshold` of the total mass;
+  /// provided it owns at least 40 % of the total mass;
   /// topo::kInvalidNode otherwise.
   topo::NodeId numab_preferred_node(Pid pid, ThreadId tid, sim::Time now);
   /// Balancer callbacks: account one applied task move / one chosen
@@ -567,34 +546,40 @@ class Kernel {
   /// Accumulates page-copy traffic per (from, to) node pair so a batch of
   /// migrations reserves the copy hardware once, not once per page — the
   /// same coalescing the stream charging does. Keeps concurrent migrating
-  /// threads overlapping at realistic granularity.
+  /// threads overlapping at realistic granularity. Each run carries the
+  /// cost kind its copies are billed as, so one access can defer both
+  /// next-touch migrations and replica creations; flush_copy_batch
+  /// reserves adjacent runs between the same two nodes as one copy.
   struct CopyBatch {
     struct Run {
       topo::NodeId from;
       topo::NodeId to;
       std::uint64_t bytes;
+      sim::CostKind kind;
     };
     std::vector<Run> runs;
-    void add(topo::NodeId from, topo::NodeId to, std::uint64_t bytes) {
-      if (!runs.empty() && runs.back().from == from && runs.back().to == to) {
+    void add(topo::NodeId from, topo::NodeId to, std::uint64_t bytes,
+             sim::CostKind kind) {
+      if (!runs.empty() && runs.back().from == from && runs.back().to == to &&
+          runs.back().kind == kind) {
         runs.back().bytes += bytes;
       } else {
-        runs.push_back({from, to, bytes});
+        runs.push_back({from, to, bytes, kind});
       }
     }
   };
 
-  /// Charge the accumulated copies of a batch (kind = copy attribution).
-  void flush_copy_batch(ThreadCtx& t, CopyBatch& batch, sim::CostKind kind);
+  /// Charge the accumulated copies of a batch, each run as its own kind.
+  void flush_copy_batch(ThreadCtx& t, CopyBatch& batch);
 
   /// Page-fault entry point. Returns true if the access should be retried.
-  /// When `copies` is non-null, migration copy traffic is deferred into it.
+  /// Migration and replica copy traffic is deferred into `copies`.
   /// (Instrumented wrapper around do_handle_fault: "fault" span +
   /// kern.fault_service_ns histogram.)
   bool handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
-                    AccessResult& res, CopyBatch* copies);
+                    AccessResult& res, CopyBatch& copies);
   bool do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
-                       AccessResult& res, CopyBatch* copies);
+                       AccessResult& res, CopyBatch& copies);
 
   /// The per-extent page walk behind access() and access_strided(): the
   /// soft-TLB check and fill, the fault-retry loop, kDirty, replica
@@ -619,9 +604,10 @@ class Kernel {
                            CopyBatch& copies);
 
   /// For a read of a kReplica page: the node whose copy serves `reader`,
-  /// creating the reader-local replica (charged) on first use.
+  /// creating the reader-local replica on first use (its copy deferred into
+  /// `copies` as kReplicaCopy).
   topo::NodeId resolve_replica(ThreadCtx& t, Process& p, vm::Pte& pte, vm::Vpn vpn,
-                               topo::NodeId reader, CopyBatch* copies);
+                               topo::NodeId reader, CopyBatch& copies);
 
   /// Write to a replicated page: free every replica, keep one frame on the
   /// writer's node, restore write permission.
@@ -719,13 +705,12 @@ class Kernel {
   /// Nearest strictly-slower-tier node with headroom to absorb demotions
   /// from `from`; kInvalidNode when no lower tier has room.
   topo::NodeId tier_demote_target(topo::NodeId from) const;
-  /// Demote up to `want_pages` of `p`'s pages off `node` down-tier via
-  /// kmigrated. `require_idle` restricts victims to scan-confirmed cold
-  /// pages (numa_idle >= cfg threshold); the direct-reclaim path passes
-  /// false to take any eligible page. Returns pages submitted.
+  /// Demote one batch of `p`'s pages off `node` down-tier via kmigrated.
+  /// `require_idle` restricts victims to scan-confirmed cold pages; the
+  /// direct-reclaim path passes false to take any eligible page. Returns
+  /// pages submitted.
   std::uint64_t tier_demote(ThreadCtx& t, Process& p, topo::NodeId node,
-                            std::uint64_t want_pages, bool require_idle,
-                            sim::CostKind kind);
+                            bool require_idle, sim::CostKind kind);
   /// Scan-clock hook: walk fast nodes over their high watermark and kick a
   /// cold-page demotion pass for each (kswapd-style, but driven off the
   /// numab scan window so the model stays single-clocked).
@@ -833,8 +818,8 @@ class Kernel {
   };
 
   /// The one batch tail every synchronous migration batch ends with: charge
-  /// the copies deferred into `copies` as `copy_kind`, then serialize the
-  /// batch's `pages` moves begun at `entry` under the lock model. kCoarse
+  /// the copies deferred into `copies`, then serialize the batch's `pages`
+  /// moves begun at `entry` under the lock model. kCoarse
   /// reserves pages*per_page on the process migration pipeline (the
   /// cross-thread critical sections). kRange instead holds the range locks
   /// covering [lo, hi) exclusively for that work plus ONE coalesced
@@ -846,18 +831,16 @@ class Kernel {
   /// is extended only when the serialization is backed up; a single
   /// migrating thread never is.
   void migration_batch_tail(ThreadCtx& t, Process& p, CopyBatch& copies,
-                            sim::CostKind copy_kind, vm::Vaddr lo, vm::Vaddr hi,
-                            sim::Time entry, std::uint64_t pages,
-                            MigrateEngine engine, SerialShare share) {
+                            vm::Vaddr lo, vm::Vaddr hi, sim::Time entry,
+                            std::uint64_t pages, MigrateEngine engine,
+                            SerialShare share) {
     // Inline early-out: most accesses migrate nothing, and this runs once
     // per access/syscall on the hot path.
     if (copies.runs.empty() && pages == 0) return;
-    do_migration_batch_tail(t, p, copies, copy_kind, lo, hi, entry, pages,
-                            engine, share);
+    do_migration_batch_tail(t, p, copies, lo, hi, entry, pages, engine, share);
   }
   void do_migration_batch_tail(ThreadCtx& t, Process& p, CopyBatch& copies,
-                               sim::CostKind copy_kind, vm::Vaddr lo,
-                               vm::Vaddr hi, sim::Time entry,
+                               vm::Vaddr lo, vm::Vaddr hi, sim::Time entry,
                                std::uint64_t pages, MigrateEngine engine,
                                SerialShare share);
 
@@ -881,13 +864,6 @@ class Kernel {
       ThreadCtx& t, Process& p, vm::Vaddr addr, std::uint64_t len,
       topo::NodeId node, sim::Time submit,
       MigrateEngine engine = MigrateEngine::kConfigured);
-
-  /// Next-touch migrate-ahead (cfg_.nt_async_window > 0): after a next-touch
-  /// fault migrates one page synchronously, hand up to `window` further
-  /// contiguous NT-marked pages of the same VMA to `node`'s kmigrated daemon
-  /// so they arrive before being touched.
-  void nt_migrate_ahead(ThreadCtx& t, Process& p, const vm::Vma& vma,
-                        vm::Vpn fault_vpn, topo::NodeId node);
 
   // --- automatic NUMA balancing internals (src/kern/numab.cpp) ------------------
   /// Scan clock, checked at the top of access()/access_strided() — the
@@ -982,7 +958,6 @@ class Kernel {
   HwState hw_;
   mem::PhysMem phys_;
   Kmigrated kmigrated_;
-  EventLog* elog_ = nullptr;
   std::vector<obs::TraceSink*> sinks_;
   obs::Registry* metrics_ = nullptr;
   // Cached histogram slots of the attached registry (null = detached), one
@@ -991,7 +966,6 @@ class Kernel {
   NUMASIM_KERNEL_HISTOGRAMS(NUMASIM_HISTOGRAM_MEMBER)
 #undef NUMASIM_HISTOGRAM_MEMBER
   FaultInjector* injector_ = nullptr;
-  std::unique_ptr<FaultInjector> owned_injector_;  // from cfg_.fault_plan
   std::vector<std::unique_ptr<Process>> procs_;
   KernelStats kstats_;
   // Latest simulated instant any thread has shown the kernel; the

@@ -18,13 +18,7 @@ Kernel::Kernel(KernelConfig cfg)
     : cfg_(std::move(cfg)),
       hw_(cfg_.topology),
       phys_(cfg_.topology, cfg_.backing, cfg_.max_frames_per_node),
-      kmigrated_(cfg_.topology.num_nodes()) {
-  if (!cfg_.fault_plan.empty()) {
-    owned_injector_ = std::make_unique<FaultInjector>(cfg_.fault_plan,
-                                                      cfg_.fault_seed);
-    set_fault_injector(owned_injector_.get());
-  }
-}
+      kmigrated_(cfg_.topology.num_nodes()) {}
 
 Kernel::~Kernel() {
   // Async kmigrated batches still in flight die with the kernel; account
@@ -42,13 +36,6 @@ void Kernel::add_trace_sink(obs::TraceSink* sink) {
 
 void Kernel::remove_trace_sink(obs::TraceSink* sink) {
   sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
-  if (sink == elog_) elog_ = nullptr;
-}
-
-void Kernel::set_event_log(EventLog* log) {
-  if (elog_ != nullptr && elog_ != log) remove_trace_sink(elog_);
-  elog_ = log;
-  add_trace_sink(log);
 }
 
 void Kernel::set_metrics(obs::Registry* reg) {
@@ -285,11 +272,10 @@ sim::Time Kernel::shootdown_round(std::uint64_t pages) {
 }
 
 void Kernel::do_migration_batch_tail(ThreadCtx& t, Process& p, CopyBatch& copies,
-                                     sim::CostKind copy_kind, vm::Vaddr lo,
-                                     vm::Vaddr hi, sim::Time entry,
+                                     vm::Vaddr lo, vm::Vaddr hi, sim::Time entry,
                                      std::uint64_t pages, MigrateEngine engine,
                                      SerialShare share) {
-  flush_copy_batch(t, copies, copy_kind);
+  flush_copy_batch(t, copies);
   if (pages == 0) return;
   const bool txn = engine != MigrateEngine::kStopAndCopy &&
                    cfg_.migration_mode == MigrationMode::kTransactional;
@@ -308,11 +294,32 @@ void Kernel::do_migration_batch_tail(ThreadCtx& t, Process& p, CopyBatch& copies
   wait_until(t, slot.finish);
 }
 
-void Kernel::flush_copy_batch(ThreadCtx& t, CopyBatch& batch, sim::CostKind kind) {
-  for (const CopyBatch::Run& r : batch.runs) {
-    const sim::Slot c =
-        hw_.copy(t.clock, r.from, r.to, r.bytes, cost_.kernel_copy_bytes_per_us);
-    t.stats.add(kind, c.finish - t.clock);
+void Kernel::flush_copy_batch(ThreadCtx& t, CopyBatch& batch) {
+  // Adjacent runs between the same two nodes take one copy reservation, as
+  // one run of a single kind would; its time is split among their kinds by
+  // bytes, so the kinds change only the labels, never the total.
+  const std::vector<CopyBatch::Run>& runs = batch.runs;
+  for (std::size_t i = 0, end = 0; i < runs.size(); i = end) {
+    std::uint64_t bytes = 0;
+    for (end = i; end < runs.size() && runs[end].from == runs[i].from &&
+                  runs[end].to == runs[i].to;
+         ++end)
+      bytes += runs[end].bytes;
+    const sim::Slot c = hw_.copy(t.clock, runs[i].from, runs[i].to, bytes,
+                                 cost_.kernel_copy_bytes_per_us);
+    const sim::Time dur = c.finish - t.clock;
+    std::uint64_t done = 0;
+    sim::Time billed = 0;
+    for (std::size_t j = i; j < end; ++j) {
+      done += runs[j].bytes;
+      const sim::Time upto =
+          j + 1 == end ? dur
+                       : static_cast<sim::Time>(static_cast<double>(dur) *
+                                                static_cast<double>(done) /
+                                                static_cast<double>(bytes));
+      t.stats.add(runs[j].kind, upto - billed);
+      billed = upto;
+    }
     t.clock = c.finish;
   }
   batch.runs.clear();
@@ -376,8 +383,7 @@ Kernel::MigrateResult Kernel::do_migrate_page(const PageMover& how, Process& p,
     // Direct demotion (tiering): push cold — or, failing that, any eligible —
     // pages of `target` down-tier to make room, then retry once. The chain is
     // monotonic down the tier order, so it terminates at the slowest tier.
-    if (tier_demote(t, p, target, cfg_.tiers.demote_batch_pages,
-                    /*require_idle=*/false, how.control_kind) > 0) {
+    if (tier_demote(t, p, target, /*require_idle=*/false, how.control_kind) > 0) {
       charge_control(cost_.demote_direct_stall);
       new_frame = alloc_migration_frame(target);
     }
@@ -400,7 +406,7 @@ Kernel::MigrateResult Kernel::do_migrate_page(const PageMover& how, Process& p,
                                    cost_.kernel_copy_bytes_per_us)
                               .finish;
     } else if (bill.copies != nullptr) {
-      bill.copies->add(from, target, mem::kPageSize);
+      bill.copies->add(from, target, mem::kPageSize, how.copy_kind);
     } else {
       const sim::Slot c = hw_.copy(t.clock, from, target, mem::kPageSize,
                                    cost_.kernel_copy_bytes_per_us);
@@ -468,7 +474,7 @@ void Kernel::populate_huge_block(ThreadCtx& t, Process& p, const vm::Vma& vma,
 
 topo::NodeId Kernel::resolve_replica(ThreadCtx& t, Process& p, vm::Pte& pte,
                                      vm::Vpn vpn, topo::NodeId reader,
-                                     CopyBatch* copies) {
+                                     CopyBatch& copies) {
   const topo::NodeId home = pte.node();
   if (reader == home) return home;
   const mem::FrameId existing = p.replicas.replica_on(vpn, reader);
@@ -479,14 +485,7 @@ topo::NodeId Kernel::resolve_replica(ThreadCtx& t, Process& p, vm::Pte& pte,
   const mem::FrameId f = phys_.alloc_on(reader);
   if (f == mem::kInvalidFrame) return home;  // node full: keep reading remote
   charge(t, cost_.page_alloc + cost_.replica_control, sim::CostKind::kReplicaControl);
-  if (copies != nullptr) {
-    copies->add(home, reader, mem::kPageSize);
-  } else {
-    const sim::Slot c =
-        hw_.copy(t.clock, home, reader, mem::kPageSize, cost_.kernel_copy_bytes_per_us);
-    t.stats.add(sim::CostKind::kReplicaCopy, c.finish - t.clock);
-    t.clock = c.finish;
-  }
+  copies.add(home, reader, mem::kPageSize, sim::CostKind::kReplicaCopy);
   if (std::byte* dst = phys_.data(f)) {
     if (const std::byte* src = phys_.data(pte.frame))
       std::memcpy(dst, src, mem::kPageSize);
@@ -543,7 +542,7 @@ void Kernel::deliver_sigsegv(ThreadCtx& t, Process& p, const SigInfo& info,
 }
 
 bool Kernel::handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
-                          AccessResult& res, CopyBatch* copies) {
+                          AccessResult& res, CopyBatch& copies) {
   const sim::Time begin = t.clock;
   const bool retry = do_handle_fault(t, p, addr, want, res, copies);
   if (h_fault_ != nullptr) h_fault_->record(t.clock - begin);
@@ -555,7 +554,7 @@ bool Kernel::handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot wan
 }
 
 bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
-                             vm::Prot want, AccessResult& res, CopyBatch* copies) {
+                             vm::Prot want, AccessResult& res, CopyBatch& copies) {
   charge(t, cost_.pagefault_entry, sim::CostKind::kPageFault);
 
   vm::Vma* vma = p.as.find(addr);
@@ -605,7 +604,7 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
     const topo::NodeId local = topo_.node_of_core(t.core);
     if (pte.node() != local) {
       const topo::NodeId was = pte.node();
-      if (migrate_page({{t, copies}, MigrateEngine::kConfigured,
+      if (migrate_page({{t, &copies}, MigrateEngine::kConfigured,
                         cost_.nt_fault_control, sim::CostKind::kNextTouchControl,
                         sim::CostKind::kNextTouchCopy},
                        p, pte, vm::vpn_of(addr), local) == MigrateResult::kOk) {
@@ -628,8 +627,6 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
     pte.clear(vm::Pte::kNextTouch);
     pte.set(vm::Pte::kAccessed);
     pte.restore_hw(vma->prot);
-    if (cfg_.nt_async_window > 0)
-      nt_migrate_ahead(t, p, *vma, vm::vpn_of(addr), local);
     return false;
   }
 
@@ -655,7 +652,7 @@ inline topo::NodeId Kernel::access_page(ThreadCtx& t, Process& p, vm::Pte& pte,
   if (writing) {
     pte.set(vm::Pte::kDirty);
   } else if (pte.flags & vm::Pte::kReplica) {
-    return resolve_replica(t, p, pte, vpn, core_node, &copies);
+    return resolve_replica(t, p, pte, vpn, core_node, copies);
   }
   return pte.node();
 }
@@ -712,7 +709,7 @@ void Kernel::walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Vaddr end
       stlb_elig = false;  // a faulting extent is not walk-free reusable
       if (++retries > kMaxFaultRetries)
         throw SegfaultError{std::max(addr, vm::addr_of(vpn))};
-      handle_fault(t, p, std::max(addr, vm::addr_of(vpn)), want, res, &copies);
+      handle_fault(t, p, std::max(addr, vm::addr_of(vpn)), want, res, copies);
       pte = pt.find(vpn);
     }
     const vm::Vpn chunk_end =
@@ -797,8 +794,8 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
   flush_run();
   if (!in_range) throw SegfaultError{std::max(addr, vm::AddressSpace::kUserTop)};
 
-  migration_batch_tail(t, p, copies, sim::CostKind::kNextTouchCopy, addr, end,
-                       entry, res.nexttouch_migrations, MigrateEngine::kConfigured,
+  migration_batch_tail(t, p, copies, addr, end, entry, res.nexttouch_migrations,
+                       MigrateEngine::kConfigured,
                        {cost_.nt_serial_per_page, cost_.nt_range_serial_per_page});
   if (!p.numab.pending.empty()) numab_flush_promotions(t, p);
   return res;
@@ -885,7 +882,7 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
     }
   }
   if (rows_in < rows) throw SegfaultError{fault_at};
-  migration_batch_tail(t, p, copies, sim::CostKind::kNextTouchCopy, base,
+  migration_batch_tail(t, p, copies, base,
                        base + (rows - 1) * stride_bytes + row_bytes, entry,
                        res.nexttouch_migrations, MigrateEngine::kConfigured,
                        {cost_.nt_serial_per_page, cost_.nt_range_serial_per_page});

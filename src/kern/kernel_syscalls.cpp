@@ -239,8 +239,7 @@ SyscallResult Kernel::sys_mbind(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
   };
   p.as.page_table().for_each_run(vm::vpn_of(addr), vend, move_run);
   migration_batch_tail(
-      t, p, copies, sim::CostKind::kMovePagesCopy, addr, addr + len, entry,
-      moved, MigrateEngine::kConfigured,
+      t, p, copies, addr, addr + len, entry, moved, MigrateEngine::kConfigured,
       {cost_.move_pages_serial_per_page, cost_.range_serial_per_page});
   return 0;
 }
@@ -391,8 +390,8 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
     }
   }
   migration_batch_tail(
-      t, p, copies, sim::CostKind::kMovePagesCopy, span_lo, span_hi, entry,
-      moves.size(), MigrateEngine::kConfigured,
+      t, p, copies, span_lo, span_hi, entry, moves.size(),
+      MigrateEngine::kConfigured,
       {cost_.move_pages_serial_per_page, cost_.range_serial_per_page});
   if (!moves.empty()) {
     trace(t, EventType::kMovePages, vm::vpn_of(chunk[moves.front().i]), moves.size(),
@@ -439,13 +438,16 @@ SyscallResult Kernel::sys_move_pages_ranged(ThreadCtx& t,
                 : p.mmap_lock.reserve(t.clock, cost_.move_pages_range_base,
                                       t.core, cost_.lock_bounce),
             sim::CostKind::kMovePagesControl);
-
-  long moved = 0;
+  // Every range is validated before any page moves: an invalid range fails
+  // the whole call, as in sys_move_pages_async.
   for (const MoveRange& r : ranges) {
     if (r.len == 0) return -kEINVAL;
     if (r.node >= topo_.num_nodes()) return -kEINVAL;
     if (!p.as.range_mapped(r.addr, r.len)) return -kEFAULT;
+  }
 
+  long moved = 0;
+  for (const MoveRange& r : ranges) {
     const sim::Time entry = t.clock;
     CopyBatch copies;
     const PageMover mover{{t, &copies}, MigrateEngine::kConfigured, 0,
@@ -469,8 +471,8 @@ SyscallResult Kernel::sys_move_pages_ranged(ThreadCtx& t,
     };
     p.as.page_table().for_each_run(vm::vpn_of(r.addr), vend, range_run);
     migration_batch_tail(
-        t, p, copies, sim::CostKind::kMovePagesCopy, r.addr, r.addr + r.len,
-        entry, batch_moved, MigrateEngine::kConfigured,
+        t, p, copies, r.addr, r.addr + r.len, entry, batch_moved,
+        MigrateEngine::kConfigured,
         {cost_.move_pages_serial_per_page, cost_.range_serial_per_page});
     moved += static_cast<long>(batch_moved);
     if (tracing() && batch_moved > 0)
@@ -532,8 +534,7 @@ SyscallResult Kernel::sys_migrate_pages(ThreadCtx& t, Pid target,
       }
     }
     migration_batch_tail(
-        t, p, copies, sim::CostKind::kMigratePagesCopy,
-        vm::addr_of(batch.front().vpn),
+        t, p, copies, vm::addr_of(batch.front().vpn),
         vm::addr_of(batch.back().vpn) + mem::kPageSize, entry, batch.size(),
         MigrateEngine::kStopAndCopy,
         {cost_.migrate_pages_serial_per_page, cost_.range_serial_per_page});

@@ -1,6 +1,5 @@
 // Kernel-side entry points of the kmigrated async migration engine: batch
-// submission, execution on the daemon timelines, draining, and the
-// next-touch migrate-ahead window.
+// submission, execution on the daemon timelines, and draining.
 #include <algorithm>
 
 #include "kern/kernel.hpp"
@@ -145,29 +144,6 @@ void Kernel::kmigrated_drain(ThreadCtx& t) {
   const sim::Time done = kmigrated_.drained_at();
   if (done > t.clock) kmig_now_ = done;
   wait_until(t, done);
-}
-
-void Kernel::nt_migrate_ahead(ThreadCtx& t, Process& p, const vm::Vma& vma,
-                              vm::Vpn fault_vpn, topo::NodeId node) {
-  // Contiguous run of still-marked next-touch pages right behind the fault,
-  // clipped to the VMA and the configured window.
-  const vm::Vpn vma_end = vm::vpn_of(vma.end);
-  const vm::Vpn first = fault_vpn + 1;
-  const vm::Vpn limit = std::min(vma_end, first + cfg_.nt_async_window);
-  vm::Vpn last = first;
-  auto window_run = [&](vm::ConstPageRun run) {
-    if (run.first != last) return false;  // absent chunk: the run ends here
-    for (const vm::Pte& pte : run.ptes) {
-      if (!pte.present() || !pte.next_touch()) return false;
-      ++last;
-    }
-    return true;
-  };
-  p.as.page_table().for_each_run(first, limit, window_run);
-  if (last == first) return;
-  charge(t, cost_.kmigrated_submit, sim::CostKind::kNextTouchControl);
-  submit_kmigrated_batch(t, p, vm::addr_of(first),
-                         (last - first) * mem::kPageSize, node, t.clock);
 }
 
 }  // namespace numasim::kern

@@ -1,12 +1,12 @@
 // Per-node asynchronous migration daemons ("kmigrated").
 //
 // Each NUMA node runs one daemon thread that drains a work queue of
-// migration batches. Submitters (sys_move_pages_async, the next-touch
-// migrate-ahead window) pay only a small enqueue cost; the page-table
-// surgery and copies are charged to the daemon's own timeline, so the
-// submitting thread returns immediately while the batch completes in the
-// background of simulated time — the NOMAD-style decoupling of page copies
-// from the faulting thread.
+// migration batches. Submitters (sys_move_pages_async, numab promotion and
+// tier demotion) pay only a small enqueue cost; the page-table surgery and
+// copies are charged to the daemon's own timeline, so the submitting thread
+// returns immediately while the batch completes in the background of
+// simulated time — the NOMAD-style decoupling of page copies from the
+// faulting thread.
 //
 // Like every other resource in the simulator, a daemon is a Timeline: a
 // batch submitted at `t` starts no earlier than `t + wakeup` and no earlier
@@ -64,11 +64,6 @@ class Kmigrated {
     unsigned total = 0;
     for (topo::NodeId n = 0; n < num_nodes(); ++n) total += queue_depth(n, now);
     return total;
-  }
-
-  void reset() {
-    for (sim::Timeline& d : daemons_) d.reset();
-    for (auto& v : inflight_) v.clear();
   }
 
  private:

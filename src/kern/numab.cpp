@@ -260,6 +260,9 @@ std::vector<double> Kernel::numab_task_faults(Pid pid, ThreadId tid,
 }
 
 topo::NodeId Kernel::numab_preferred_node(Pid pid, ThreadId tid, sim::Time now) {
+  // Share of a task's decayed fault mass its top node must hold before the
+  // balancer considers it the preferred node.
+  constexpr double kHotThreshold = 0.40;
   const std::vector<double> scores = numab_task_faults(pid, tid, now);
   if (scores.empty()) return topo::kInvalidNode;
   double total = 0.0;
@@ -268,8 +271,7 @@ topo::NodeId Kernel::numab_preferred_node(Pid pid, ThreadId tid, sim::Time now) 
     total += scores[n];
     if (scores[n] > scores[best]) best = n;
   }
-  if (total <= 0.0 ||
-      scores[best] < cfg_.numa_balancing.hot_threshold * total)
+  if (total <= 0.0 || scores[best] < kHotThreshold * total)
     return topo::kInvalidNode;
   return best;
 }

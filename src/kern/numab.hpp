@@ -59,10 +59,6 @@ struct NumaBalancingConfig {
   /// first remote fault.
   bool two_reference = true;
 
-  /// Fraction of a task's decayed fault mass its top node must hold before
-  /// the balancer considers it the preferred node.
-  double hot_threshold = 0.40;
-
   /// Minimum interval between two balancer evaluation passes.
   sim::Time balance_period = sim::microseconds(800);
 

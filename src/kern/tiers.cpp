@@ -31,10 +31,13 @@ struct TierRank {
 }  // namespace
 
 bool Kernel::tier_pressured(topo::NodeId n) const {
+  // Occupancy of a fast node that triggers a demotion pass at the next numab
+  // scan tick (the "high watermark" of the demotion daemon).
+  constexpr double kHighWatermarkFrac = 0.90;
   const std::uint64_t cap = phys_.capacity_frames(n);
   if (cap == 0) return true;
   return static_cast<double>(phys_.used_frames(n)) >=
-         cfg_.tiers.high_watermark_frac * static_cast<double>(cap);
+         kHighWatermarkFrac * static_cast<double>(cap);
 }
 
 topo::NodeId Kernel::tier_promote_target(topo::NodeId page_node,
@@ -80,9 +83,15 @@ topo::NodeId Kernel::tier_demote_target(topo::NodeId from) const {
 }
 
 std::uint64_t Kernel::tier_demote(ThreadCtx& t, Process& p, topo::NodeId node,
-                                  std::uint64_t want_pages, bool require_idle,
-                                  sim::CostKind kind) {
-  if (!cfg_.tiers.enabled || !cfg_.tiers.demotion || want_pages == 0) return 0;
+                                  bool require_idle, sim::CostKind kind) {
+  // Upper bound on pages demoted per pass (daemon tick or one direct
+  // demotion episode): keeps a single allocation from stalling behind an
+  // unbounded eviction walk.
+  constexpr std::uint64_t kDemoteBatchPages = 64;
+  // Scan windows a page must sit untouched (kNumaHint armed, no refault)
+  // before the daemon pass considers it cold enough to demote.
+  constexpr unsigned kDemoteAfterWindows = 2;
+  if (!cfg_.tiers.enabled || !cfg_.tiers.demotion) return 0;
   const topo::NodeId target = tier_demote_target(node);
   if (target == topo::kInvalidNode) return 0;
 
@@ -92,7 +101,7 @@ std::uint64_t Kernel::tier_demote(ThreadCtx& t, Process& p, topo::NodeId node,
   // under allocation pressure takes anything eligible.
   std::vector<vm::Vpn> victims;
   p.as.for_each([&](const vm::Vma& vma) {
-    if (vma.huge || victims.size() >= want_pages) return;
+    if (vma.huge || victims.size() >= kDemoteBatchPages) return;
     auto victim_run = [&](vm::ConstPageRun run) {
       vm::Vpn vpn = run.first;
       for (const vm::Pte& pte : run.ptes) {
@@ -102,11 +111,11 @@ std::uint64_t Kernel::tier_demote(ThreadCtx& t, Process& p, topo::NodeId node,
                          vm::Pte::kNextTouch))
           continue;
         if (pte.node() != node) continue;
-        if (require_idle && !(pte.numa_hint() &&
-                              pte.numa_idle >= cfg_.tiers.demote_after_windows))
+        if (require_idle &&
+            !(pte.numa_hint() && pte.numa_idle >= kDemoteAfterWindows))
           continue;
         victims.push_back(v);
-        if (victims.size() >= want_pages) return false;
+        if (victims.size() >= kDemoteBatchPages) return false;
       }
       return true;
     };
@@ -160,8 +169,7 @@ void Kernel::tier_demote_check(ThreadCtx& t, Process& p) {
     if (tier_demote_target(n) == topo::kInvalidNode) continue;
     ++kstats_.tier_demote_passes;
     charge(t, cost_.demote_scan_base, sim::CostKind::kNumaScan);
-    tier_demote(t, p, n, cfg_.tiers.demote_batch_pages, /*require_idle=*/true,
-                sim::CostKind::kNumaScan);
+    tier_demote(t, p, n, /*require_idle=*/true, sim::CostKind::kNumaScan);
   }
 }
 

@@ -6,17 +6,15 @@
 //  * promotion — numab hint faults on a page sitting on a slower tier pick a
 //    faster-tier target (two-reference confirmed, flushed through kmigrated
 //    with the configured migration engine, preferably transactional);
-//  * demotion — cold pages (kNumaHint set but no refault for
-//    `demote_after_windows` scan windows) walk down one tier when a fast
-//    node crosses its high watermark, and directly when a migration
-//    allocation on a full fast node would otherwise return ENOMEM.
+//  * demotion — cold pages (kNumaHint set but no refault for two scan
+//    windows) walk down one tier when a fast node crosses its high
+//    watermark (90 % occupancy), and directly when a migration allocation
+//    on a full fast node would otherwise return ENOMEM.
 //
 // With `enabled == false` (the default) every tier code path is skipped and
 // flat-DRAM machines behave byte-identically to the pre-tier simulator.
 // See docs/memory-tiers.md for the full state machine.
 #pragma once
-
-#include <cstdint>
 
 namespace numasim::kern {
 
@@ -30,19 +28,6 @@ struct TierConfig {
   /// node fails migrations into it with per-page ENOMEM — the contrast leg
   /// of bench/ablation_tiering.
   bool demotion = true;
-
-  /// Occupancy fraction of a fast node that triggers a demotion pass at the
-  /// next numab scan tick (the "high watermark" of the demotion daemon).
-  double high_watermark_frac = 0.90;
-
-  /// Scan windows a page must sit untouched (kNumaHint armed, no refault)
-  /// before the daemon pass considers it cold enough to demote.
-  unsigned demote_after_windows = 2;
-
-  /// Upper bound on pages demoted per pass (daemon tick or one direct
-  /// demotion episode) — keeps a single allocation from stalling behind an
-  /// unbounded eviction walk.
-  std::uint64_t demote_batch_pages = 64;
 };
 
 }  // namespace numasim::kern

@@ -11,8 +11,8 @@
 // Policies (KernelConfig::numa_balancing.policy):
 //   kNone          — page placement only; tick() is a no-op
 //   kPreferredNode — move each thread to the least-loaded core of its
-//                    preferred node (hottest node holding >= hot_threshold
-//                    of the decayed fault mass)
+//                    preferred node (hottest node holding >= 40 % of the
+//                    decayed fault mass)
 //   kInterchange   — IMAR-style: among all thread pairs on different nodes,
 //                    swap the one whose exchange removes the most
 //                    remote-access mass; at most one pair per evaluation

@@ -15,7 +15,7 @@ class EventLogTest : public ::testing::Test {
   EventLogTest()
       : topo_(topo::Topology::quad_opteron()), k_(kern::KernelConfig{.topology = topo_, .backing = mem::Backing::kPhantom}) {
     pid_ = k_.create_process();
-    k_.set_event_log(&log_);
+    k_.add_trace_sink(&log_);
   }
 
   ThreadCtx ctx_on(topo::CoreId core) {
@@ -102,7 +102,8 @@ TEST_F(EventLogTest, RenderAndCsv) {
 
 TEST_F(EventLogTest, BoundedCapacityDropsOldest) {
   EventLog small(4);
-  k_.set_event_log(&small);
+  k_.remove_trace_sink(&log_);
+  k_.add_trace_sink(&small);
   ThreadCtx t = ctx_on(0);
   const vm::Vaddr a = k_.sys_mmap(t, 10 * mem::kPageSize, vm::Prot::kReadWrite);
   k_.access(t, a, 10 * mem::kPageSize, vm::Prot::kWrite, 3500.0);
@@ -112,6 +113,7 @@ TEST_F(EventLogTest, BoundedCapacityDropsOldest) {
   small.clear();
   EXPECT_TRUE(small.events().empty());
   EXPECT_EQ(small.dropped(), 0u);
+  k_.remove_trace_sink(&small);
 }
 
 TEST(EventLog, RoundTripsEveryEventType) {
@@ -146,7 +148,7 @@ TEST(EventLog, RoundTripsEveryEventType) {
 }
 
 TEST_F(EventLogTest, DetachedLogRecordsNothing) {
-  k_.set_event_log(nullptr);
+  k_.remove_trace_sink(&log_);
   ThreadCtx t = ctx_on(0);
   const vm::Vaddr a = k_.sys_mmap(t, mem::kPageSize, vm::Prot::kReadWrite);
   k_.access(t, a, mem::kPageSize, vm::Prot::kWrite, 3500.0);

@@ -181,12 +181,12 @@ TEST_F(FaultInjectionTest, TransientCopyFailuresAreRetriedWithBackoff) {
   const vm::Vaddr a = make_region(t, 32, 0);
 
   EventLog log;
-  k_.set_event_log(&log);
+  k_.add_trace_sink(&log);
   FaultInjector inj(FaultPlan::parse("copy:pt=0.4"), 1234);
   k_.set_fault_injector(&inj);
   const std::vector<int> status = move_all(t, a, 32, 1);
   k_.set_fault_injector(nullptr);
-  k_.set_event_log(nullptr);
+  k_.remove_trace_sink(&log);
 
   // With pt=0.4 and 32 pages some retries must have fired; each page either
   // lands on node 1 or reports -EAGAIN after exhausting its retry budget.
@@ -210,12 +210,12 @@ TEST_F(FaultInjectionTest, PermanentCopyFailureRollsBackWithoutLeaking) {
   const std::uint64_t used_before = k_.phys().total_used_frames();
 
   EventLog log;
-  k_.set_event_log(&log);
+  k_.add_trace_sink(&log);
   FaultInjector inj(FaultPlan::parse("copy:pp=1.0"), 99);
   k_.set_fault_injector(&inj);
   const std::vector<int> status = move_all(t, a, 8, 3);
   k_.set_fault_injector(nullptr);
-  k_.set_event_log(nullptr);
+  k_.remove_trace_sink(&log);
 
   // Every copy failed permanently: all pages report -EAGAIN, stay mapped on
   // their original frames, and the aborted destination frames were freed.
@@ -278,13 +278,13 @@ TEST_F(FaultInjectionTest, KernelNextTouchDegradesInPlaceWhenNodeExhausted) {
   EXPECT_EQ(k_.sys_madvise(t0, a, len, Advice::kMigrateOnNextTouch), 0);
 
   EventLog log;
-  k_.set_event_log(&log);
+  k_.add_trace_sink(&log);
   FaultInjector inj(FaultPlan::parse("cap:node=2,frames=0"), 3);
   k_.set_fault_injector(&inj);
   ThreadCtx t2 = ctx_on(10);  // node 2 — the exhausted destination
   const AccessResult r = k_.access(t2, a, len, vm::Prot::kRead, 3500.0);
   k_.set_fault_injector(nullptr);
-  k_.set_event_log(nullptr);
+  k_.remove_trace_sink(&log);
 
   // The touch never crashes: the pages map in place on node 0 and the
   // next-touch flag is consumed, so a second touch faults nothing.
@@ -342,13 +342,13 @@ TEST_F(FaultInjectionTest, DroppedShootdownIsResentAndCharged) {
   k_.sys_mprotect(base, a, 4 * mem::kPageSize, vm::Prot::kReadWrite);
 
   EventLog log;
-  k_.set_event_log(&log);
+  k_.add_trace_sink(&log);
   FaultInjector inj(FaultPlan::parse("shootdown:p=1.0"), 8);
   k_.set_fault_injector(&inj);
   ThreadCtx hit = ctx_on(0);
   k_.sys_mprotect(hit, a, 4 * mem::kPageSize, vm::Prot::kRead);
   k_.set_fault_injector(nullptr);
-  k_.set_event_log(nullptr);
+  k_.remove_trace_sink(&log);
 
   EXPECT_GT(hit.clock, baseline);  // resend wait + second IPI round
   EXPECT_GT(k_.stats().shootdown_retries, 0u);
@@ -402,7 +402,7 @@ std::string run_faulty_workload(std::uint64_t seed) {
                        .max_frames_per_node = 256});
   const Pid pid = k.create_process("replay");
   EventLog log(16384);
-  k.set_event_log(&log);
+  k.add_trace_sink(&log);
   FaultInjector inj(
       FaultPlan::parse("alloc:p=0.1; copy:pt=0.3,pp=0.05; shootdown:p=0.2"),
       seed);
@@ -447,7 +447,7 @@ TEST(FaultInjectionDeterminism, EmptyPlanMatchesNoInjectorExactly) {
                          .max_frames_per_node = 256});
     const Pid pid = k.create_process();
     EventLog log(16384);
-    k.set_event_log(&log);
+    k.add_trace_sink(&log);
     FaultInjector inj{FaultPlan{}, 1};
     if (attach) k.set_fault_injector(&inj);
     ThreadCtx t;
@@ -515,16 +515,16 @@ TEST_F(FaultInjectionTest, KmigratedEnomemMidBatchMovesOnlyWhatFits) {
 }
 
 TEST(KmigratedDeterminism, ConfigFaultPlanReplaysIdentically) {
-  // The KernelConfig fault-plan path (kernel-owned injector) must be as
-  // reproducible as an external injector: same seed, same event stream.
+  // Dropped kmigrated batches replay exactly: the same plan and seed give
+  // the same event stream.
   const topo::Topology topo = topo::Topology::quad_opteron();
   auto run = [&] {
-    Kernel k(KernelConfig{.topology = topo, .backing = mem::Backing::kPhantom,
-                          .fault_plan = FaultPlan::parse("kmigrated:p=0.5"),
-                          .fault_seed = 42});
+    FaultInjector inj(FaultPlan::parse("kmigrated:p=0.5"), 42);
+    EventLog log(16384);  // both outlive the kernel
+    Kernel k(KernelConfig{.topology = topo, .backing = mem::Backing::kPhantom});
+    k.set_fault_injector(&inj);
     const Pid pid = k.create_process();
-    EventLog log(16384);
-    k.set_event_log(&log);
+    k.add_trace_sink(&log);
     ThreadCtx t;
     t.pid = pid;
     const std::uint64_t len = 16 * mem::kPageSize;

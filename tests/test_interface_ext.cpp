@@ -91,6 +91,26 @@ TEST_F(InterfaceExtTest, RangedMovePagesValidation) {
   EXPECT_EQ(k_.sys_move_pages_ranged(t, unmapped), -kEFAULT);
 }
 
+TEST_F(InterfaceExtTest, RangedMovePagesRejectsAnInvalidRangeBeforeMoving) {
+  // A valid range followed by an invalid one fails the whole call before
+  // any page moves, charged as a call whose only range is invalid.
+  ThreadCtx t = ctx_on(0);
+  const vm::Vaddr a = make_buffer(t, 8);
+  const std::vector<Kernel::MoveRange> mixed{{a, 8 * mem::kPageSize, 1},
+                                             {a, 8 * mem::kPageSize, 99}};
+  const sim::Time t0 = t.clock;
+  EXPECT_EQ(k_.sys_move_pages_ranged(t, mixed), -kEINVAL);
+  const sim::Time mixed_cost = t.clock - t0;
+  EXPECT_EQ(k_.pages_on_node(pid_, a, 8 * mem::kPageSize, 0), 8u);
+  EXPECT_EQ(k_.stats().pages_migrated_move, 0u);
+
+  const std::vector<Kernel::MoveRange> invalid{{a, 8 * mem::kPageSize, 99}};
+  const sim::Time t1 = t.clock;
+  EXPECT_EQ(k_.sys_move_pages_ranged(t, invalid), -kEINVAL);
+  EXPECT_EQ(mixed_cost, t.clock - t1);
+  k_.validate(pid_);
+}
+
 TEST_F(InterfaceExtTest, RangedMovePagesSkipsHugePages) {
   ThreadCtx t = ctx_on(0);
   const std::uint64_t huge = 2ull << 20;

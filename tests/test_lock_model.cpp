@@ -91,7 +91,7 @@ TEST(RangeLock, SameOwnerHoldsCoalesce) {
 /// mprotect and unmap. Returns the final clock; `csv` gets the event log.
 sim::Time st_workload(kern::Kernel& k, std::string* csv) {
   kern::EventLog log(16384);
-  k.set_event_log(&log);
+  k.add_trace_sink(&log);
   const kern::Pid pid = k.create_process("eq");
   kern::ThreadCtx t;
   t.pid = pid;
@@ -120,7 +120,7 @@ sim::Time st_workload(kern::Kernel& k, std::string* csv) {
   EXPECT_TRUE(k.sys_mprotect(t, a, len / 4, vm::Prot::kRead).ok());
   EXPECT_TRUE(k.sys_munmap(t, a, len).ok());
   *csv = log.to_csv();
-  k.set_event_log(nullptr);
+  k.remove_trace_sink(&log);
   return t.clock;
 }
 
@@ -141,7 +141,7 @@ sim::Time mt_migrate_span(kern::LockModel model, std::uint64_t npages,
                           unsigned nthreads, std::string* csv = nullptr) {
   rt::Machine m(phantom_cfg(model));
   kern::EventLog log(1 << 18);
-  if (csv != nullptr) m.kernel().set_event_log(&log);
+  if (csv != nullptr) m.kernel().add_trace_sink(&log);
   sim::Time span = 0;
   m.run_main(0, [&](rt::Thread& th) -> sim::Task<void> {
     const std::uint64_t len = npages * mem::kPageSize;
@@ -160,7 +160,7 @@ sim::Time mt_migrate_span(kern::LockModel model, std::uint64_t npages,
   });
   if (csv != nullptr) {
     *csv = log.to_csv();
-    m.kernel().set_event_log(nullptr);
+    m.kernel().remove_trace_sink(&log);
   }
   return span;
 }
@@ -237,32 +237,38 @@ TEST(Kmigrated, DrainAdvancesPastDaemonCompletion) {
   });
 }
 
-TEST(Kmigrated, NextTouchMigrateAheadDrainsTheWindow) {
-  kern::KernelConfig cfg = phantom_cfg(kern::LockModel::kCoarse);
-  cfg.nt_async_window = 16;
-  kern::Kernel k(cfg);
-  const kern::Pid pid = k.create_process("nta");
-  kern::ThreadCtx t;
-  t.pid = pid;
-  t.core = 0;
-  const std::uint64_t len = 32 * mem::kPageSize;
-  const vm::Vaddr a = k.sys_mmap(t, len, vm::Prot::kReadWrite,
-                                 vm::MemPolicy::bind(topo::node_mask_of(0)));
-  k.access(t, a, len, vm::Prot::kWrite, 3500.0);
-  EXPECT_TRUE(k.sys_madvise(t, a, len, kern::Advice::kMigrateOnNextTouch).ok());
+TEST(Kmigrated, AsyncMoveResolvesNextTouchMarks) {
+  // An async move over pages marked for next-touch resolves every mark,
+  // including those of pages already on the target node, so the eventual
+  // touch from the target is an ordinary access.
+  for (kern::MigrationMode mode :
+       {kern::MigrationMode::kStopAndCopy, kern::MigrationMode::kTransactional}) {
+    kern::KernelConfig cfg = phantom_cfg(kern::LockModel::kCoarse);
+    cfg.migration_mode = mode;
+    kern::Kernel k(cfg);
+    const kern::Pid pid = k.create_process("nt-async");
+    kern::ThreadCtx t;
+    t.pid = pid;
+    const std::uint64_t len = 32 * mem::kPageSize;
+    const vm::Vaddr a = k.sys_mmap(t, len, vm::Prot::kReadWrite);
+    k.access(t, a, len, vm::Prot::kWrite, 3500.0);
+    // The upper half already sits on node 1, the target.
+    const kern::Kernel::MoveRange upper{a + len / 2, len / 2, 1};
+    ASSERT_EQ(k.sys_move_pages_ranged(t, {&upper, 1}), 16);
+    ASSERT_TRUE(k.sys_madvise(t, a, len, kern::Advice::kMigrateOnNextTouch).ok());
 
-  // One touch from node 1 migrates the faulting page synchronously and hands
-  // the next 16 pages to node 1's kmigrated daemon.
-  t.core = 4;
-  k.access(t, a, 8, vm::Prot::kRead, 0.0);
-  EXPECT_EQ(k.stats().kmigrated_batches, 1u);
-  EXPECT_EQ(k.stats().kmigrated_pages, 16u);
-  EXPECT_EQ(k.pages_on_node(pid, a, 17 * mem::kPageSize, 1), 17u);
-  // Pages behind the window still carry the next-touch mark.
-  EXPECT_EQ(k.pages_on_node(pid, a + 17 * mem::kPageSize,
-                            len - 17 * mem::kPageSize, 0),
-            32u - 17u);
-  k.validate(pid);
+    const kern::Kernel::MoveRange all{a, len, 1};
+    EXPECT_EQ(k.sys_move_pages_async(t, {&all, 1}), 16);
+    k.kmigrated_drain(t);
+    EXPECT_EQ(k.pages_on_node(pid, a, len, 1), 32u);
+
+    const std::uint64_t nt_faults = k.stats().nexttouch_faults;
+    t.core = 4;  // node 1
+    k.access(t, a, len, vm::Prot::kRead, 3500.0);
+    EXPECT_EQ(k.stats().nexttouch_faults, nt_faults)
+        << kern::migration_mode_name(mode);
+    k.validate(pid);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // The one page-migration pipeline, driven through every entry point that
 // moves pages — move_pages(2), the ranged and async interfaces, mbind(MOVE),
-// migrate_pages(2), the next-touch fault and next-touch migrate-ahead —
-// crossed with both lock models and both engines (migrate_pages(2) is
-// stop-and-copy only). Every entry point must honour the same contract
-// (docs/failure-semantics.md): an injected copy fault rolls each page back
-// with nothing leaked, and a full fast tier is made room on by direct
-// demotion. The pipeline's billing and tracing rules are pinned below the
-// table.
+// migrate_pages(2) and the next-touch fault — crossed with both lock models
+// and both engines (migrate_pages(2) is stop-and-copy only). Every entry
+// point must honour the same contract (docs/failure-semantics.md): an
+// injected copy fault rolls each page back with nothing leaked, and a full
+// fast tier is made room on by direct demotion. The pipeline's billing and
+// tracing rules are pinned below the table.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -27,7 +26,6 @@ enum class Entry {
   kMbind,
   kMigratePages,
   kNextTouch,
-  kMigrateAhead,
 };
 
 const char* entry_name(Entry e) {
@@ -38,7 +36,6 @@ const char* entry_name(Entry e) {
     case Entry::kMbind: return "mbind";
     case Entry::kMigratePages: return "migrate_pages";
     case Entry::kNextTouch: return "next_touch";
-    case Entry::kMigrateAhead: return "migrate_ahead";
   }
   return "?";
 }
@@ -48,7 +45,7 @@ using Param = std::tuple<Entry, LockModel, MigrationMode>;
 std::vector<Param> all_params() {
   std::vector<Param> out;
   for (Entry e : {Entry::kMovePages, Entry::kRanged, Entry::kAsync, Entry::kMbind,
-                  Entry::kMigratePages, Entry::kNextTouch, Entry::kMigrateAhead})
+                  Entry::kMigratePages, Entry::kNextTouch})
     for (LockModel lock : {LockModel::kCoarse, LockModel::kRange})
       for (MigrationMode mode :
            {MigrationMode::kStopAndCopy, MigrationMode::kTransactional}) {
@@ -79,9 +76,6 @@ class MigrationPipelineTest : public ::testing::TestWithParam<Param> {
     cfg.backing = mem::Backing::kPhantom;
     cfg.lock_model = std::get<1>(GetParam());
     cfg.migration_mode = std::get<2>(GetParam());
-    // Migrate-ahead: the faulting page moves synchronously, the daemon of
-    // the faulting node takes every page behind it.
-    if (entry() == Entry::kMigrateAhead) cfg.nt_async_window = kPages;
     return cfg;
   }
 
@@ -138,7 +132,6 @@ class MigrationPipelineTest : public ::testing::TestWithParam<Param> {
                         .ok());
         break;
       case Entry::kNextTouch:
-      case Entry::kMigrateAhead:
         EXPECT_EQ(k.sys_madvise(t, buf, kLen, Advice::kMigrateOnNextTouch), 0);
         k.access(t, buf, kLen, vm::Prot::kWrite, 0.0);
         k.kmigrated_drain(t);
@@ -273,10 +266,10 @@ TEST(MigrationPipeline, KmigratedFailuresStampTheDaemonClock) {
 
     FaultInjector inj(FaultPlan::parse("alloc:p=1"), 3);
     k.set_fault_injector(&inj);
-    k.set_event_log(&log);
+    k.add_trace_sink(&log);
     const Kernel::MoveRange r{a, 4 * mem::kPageSize, 1};
     EXPECT_EQ(k.sys_move_pages_async(t, {&r, 1}), 0);
-    k.set_event_log(nullptr);
+    k.remove_trace_sink(&log);
     k.set_fault_injector(nullptr);
 
     EXPECT_EQ(k.stats().kmigrated_pages_failed, 4u);

@@ -81,6 +81,61 @@ TEST_F(ReplicationTest, RepeatReadsAreLocalAndCheaper) {
   EXPECT_LT(replicated, cold);
 }
 
+TEST_F(ReplicationTest, ReadCreatedReplicasBillReplicaCopyTime) {
+  // The copies of replicas that a read creates are deferred into the
+  // access's copy batch; they are billed as kReplicaCopy, not as next-touch
+  // copy time.
+  const vm::Vaddr a = make_buffer(64);
+  ThreadCtx t0 = ctx_on(0);
+  ASSERT_EQ(k_.sys_madvise(t0, a, len_, Advice::kReplicate), 0);
+  ThreadCtx reader = ctx_on(4, sim::seconds(1));
+  k_.access(reader, a, len_, vm::Prot::kRead, 3500.0);
+  EXPECT_EQ(k_.replica_pages(pid_), 64u);
+  EXPECT_GT(reader.stats.get(sim::CostKind::kReplicaCopy), 0u);
+  EXPECT_EQ(reader.stats.get(sim::CostKind::kNextTouchCopy), 0u);
+}
+
+TEST(ReplicationCopyBatch, MixedReadKeepsOneCopyReservation) {
+  // One read that creates replicas and resolves next-touch marks between the
+  // same two nodes bills each kind its share, but reserves the copy hardware
+  // once, as a read of one kind does. The copy rate does not divide a page's
+  // copy time, so a reservation per run would round differently.
+  constexpr std::uint64_t kPages = 64;
+  auto read_copies = [](bool mixed) {
+    KernelConfig cfg{.topology = topo::Topology::quad_opteron(),
+                     .backing = mem::Backing::kMaterialized};
+    cfg.cost.kernel_copy_bytes_per_us = 3000.0;
+    Kernel k(cfg);
+    const Pid pid = k.create_process("mixed");
+    ThreadCtx t0;
+    t0.pid = pid;
+    t0.core = 0;
+    const std::uint64_t len = kPages * mem::kPageSize;
+    const vm::Vaddr a = k.sys_mmap(t0, len, vm::Prot::kReadWrite, {}, "m");
+    k.access(t0, a, len, vm::Prot::kWrite, 3500.0);
+    for (std::uint64_t i = 0; i < kPages; ++i) {
+      const Advice advice = mixed && i % 2 == 0 ? Advice::kReplicate
+                                                : Advice::kMigrateOnNextTouch;
+      EXPECT_EQ(k.sys_madvise(t0, a + i * mem::kPageSize, mem::kPageSize, advice), 0);
+    }
+    ThreadCtx reader;
+    reader.pid = pid;
+    reader.core = 4;  // node 1
+    reader.clock = sim::seconds(1);
+    k.access(reader, a, len, vm::Prot::kRead, 3500.0);
+    EXPECT_EQ(k.replica_pages(pid), mixed ? kPages / 2 : 0u);
+    k.validate(pid);
+    return reader.stats;
+  };
+  const sim::CostStats one_kind = read_copies(false);
+  const sim::CostStats mixed = read_copies(true);
+  EXPECT_GT(mixed.get(sim::CostKind::kReplicaCopy), 0u);
+  EXPECT_GT(mixed.get(sim::CostKind::kNextTouchCopy), 0u);
+  EXPECT_EQ(mixed.get(sim::CostKind::kReplicaCopy) +
+                mixed.get(sim::CostKind::kNextTouchCopy),
+            one_kind.get(sim::CostKind::kNextTouchCopy));
+}
+
 TEST_F(ReplicationTest, WriteCollapsesToWriterNode) {
   const vm::Vaddr a = make_buffer(8);
   ThreadCtx t0 = ctx_on(0);

@@ -170,7 +170,7 @@ TEST(NumabStats, FaultScoresHalvePerScanPeriod) {
   // Unknown task: no stats, no preferred node.
   EXPECT_TRUE(k.numab_task_faults(pid, 99, t.clock).empty());
   EXPECT_EQ(k.numab_preferred_node(pid, 99, t.clock), topo::kInvalidNode);
-  // Known task: all mass on node 0, comfortably past hot_threshold.
+  // Known task: all mass on node 0, comfortably past the 40 % hot threshold.
   EXPECT_EQ(k.numab_preferred_node(pid, 7, t.clock), 0u);
 }
 
@@ -291,7 +291,7 @@ namespace equivalence {
 /// interleaving; returns the final main-thread clock.
 sim::Time run_workload(const KernelConfig& cfg, kern::EventLog* log) {
   rt::Machine m(cfg);
-  if (log != nullptr) m.kernel().set_event_log(log);
+  if (log != nullptr) m.kernel().add_trace_sink(log);
   sim::Time final_clock = 0;
   m.run_main(0, [&](rt::Thread& th) -> sim::Task<void> {
     const std::uint64_t len = 64 * mem::kPageSize;

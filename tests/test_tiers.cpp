@@ -235,13 +235,13 @@ TEST(TierDemotion, WatermarkPassDemotesColdPages) {
   DemotionRig rig(demotion_config());
   ASSERT_EQ(rig.k.fast_occupancy_pct(), 240 * 100 / kFastFrames);
 
-  // Window 1 tags the filler; windows 2-3 age it to demote_after_windows.
+  // Window 1 tags the filler; windows 2-3 age it to kDemoteAfterWindows.
   // The pass at the end of window 3 demotes one batch down-tier, dropping
   // the fast node back under its watermark, after which passes stop.
   for (int i = 0; i < 4; ++i) rig.window();
   const kern::KernelStats& s = rig.k.stats();
   EXPECT_GE(s.tier_demote_passes, 1u);
-  EXPECT_EQ(s.tier_demotions, 64u);  // one demote_batch_pages batch
+  EXPECT_EQ(s.tier_demotions, 64u);  // one kDemoteBatchPages batch
   EXPECT_EQ(rig.k.pages_on_node(rig.pid, rig.filler, 240 * mem::kPageSize, 1),
             64u);
   EXPECT_LT(rig.k.fast_occupancy_pct(), 90);

@@ -357,10 +357,10 @@ TEST_P(TxnMigrateTest, MixedInjectedFaultsNeverFailTheBatch) {
 
 TEST(TxnMigrateDeterminism, SamePlanSameSeedSameSchedule) {
   auto run = [] {
-    KernelConfig cfg = txn_config(LockModel::kCoarse);
-    cfg.fault_plan = FaultPlan::parse("copy:pt=0.2,pp=0.05; shootdown:p=0.05");
-    cfg.fault_seed = 99;
-    Kernel k(cfg);
+    FaultInjector inj(FaultPlan::parse("copy:pt=0.2,pp=0.05; shootdown:p=0.05"),
+                      99);  // outlives the kernel
+    Kernel k(txn_config(LockModel::kCoarse));
+    k.set_fault_injector(&inj);
     const Pid pid = k.create_process();
     ThreadCtx t;
     t.pid = pid;
