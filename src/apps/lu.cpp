@@ -65,7 +65,7 @@ sim::Task<void> LuFactorization::run(rt::Thread& main) {
                                           block(kk + 1 + (i - rem), kk));
         }
       };
-      co_await team_.parallel_for(main, 0, 2 * rem, cfg_.schedule, std::move(panels));
+      co_await team_.parallel_for(main, 0, 2 * rem, std::move(panels));
 
       // Trailing update: one GEMM per remaining block.
       rt::Team::IndexFn update = [this, kk, rem](unsigned, rt::Thread& th,
@@ -74,7 +74,7 @@ sim::Task<void> LuFactorization::run(rt::Thread& main) {
         const std::uint64_t j = kk + 1 + idx % rem;
         co_await blas_.gemm_minus(th, block(i, kk), block(kk, j), block(i, j));
       };
-      co_await team_.parallel_for(main, 0, rem * rem, cfg_.schedule, std::move(update));
+      co_await team_.parallel_for(main, 0, rem * rem, std::move(update));
     }
   }
 

@@ -27,7 +27,6 @@ struct LuConfig {
   std::uint64_t n = 1024;       ///< matrix dimension (doubles)
   std::uint64_t bs = 128;       ///< block size; paper sweeps 64..1024
   bool next_touch = false;      ///< insert the per-iteration madvise hook
-  rt::Schedule schedule = rt::Schedule::kStatic;
   blas::BlasParams blas{};
   /// Matrix entries for numeric runs (nullptr = built-in diagonally
   /// dominant fill).

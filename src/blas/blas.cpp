@@ -70,8 +70,7 @@ sim::Task<void> BlasEngine::account(rt::Thread& th, std::uint64_t flops,
   }
 
   const auto fns = static_cast<sim::Time>(flop_ns(flops) + 0.5);
-  ctx.clock += fns;
-  ctx.stats.add(sim::CostKind::kCompute, fns);
+  kern::charge(ctx, fns, sim::CostKind::kCompute);
   co_await th.sync();
 }
 
@@ -200,8 +199,7 @@ sim::Task<void> BlasEngine::axpy(rt::Thread& th, double alpha, vm::Vaddr x,
   k.access(th.ctx(), x, n * kElemBytes, vm::Prot::kRead, rate);
   k.access(th.ctx(), y, n * kElemBytes, vm::Prot::kReadWrite, rate);
   const auto fns = static_cast<sim::Time>(flop_ns(2 * n) + 0.5);
-  th.ctx().clock += fns;
-  th.ctx().stats.add(sim::CostKind::kCompute, fns);
+  kern::charge(th.ctx(), fns, sim::CostKind::kCompute);
 
   if (params_.numeric) {
     std::vector<double> vx(n), vy(n);
@@ -223,8 +221,7 @@ sim::Task<double> BlasEngine::dot(rt::Thread& th, vm::Vaddr x, vm::Vaddr y,
   k.access(th.ctx(), x, n * kElemBytes, vm::Prot::kRead, rate);
   k.access(th.ctx(), y, n * kElemBytes, vm::Prot::kRead, rate);
   const auto fns = static_cast<sim::Time>(flop_ns(2 * n) + 0.5);
-  th.ctx().clock += fns;
-  th.ctx().stats.add(sim::CostKind::kCompute, fns);
+  kern::charge(th.ctx(), fns, sim::CostKind::kCompute);
 
   double result = 0.0;
   if (params_.numeric) {

@@ -73,6 +73,16 @@ struct ThreadCtx {
   SoftTlb stlb;
 };
 
+/// Bill `dur` to `t` as `kind`: the thread clock and its CostStats advance
+/// together, so the Fig. 6 breakdown sums to the time the thread spent.
+/// Every fixed cost is billed here; the kernel's transfer helpers
+/// (charge_copy, charge_stream, zero_fill, flush_copy_batch) and lock waits
+/// (take_slot, wait_until) bill the rest.
+inline void charge(ThreadCtx& t, sim::Time dur, sim::CostKind kind) {
+  t.clock += dur;
+  t.stats.add(kind, dur);
+}
+
 /// Information passed to a registered SIGSEGV handler.
 struct SigInfo {
   vm::Vaddr fault_addr = 0;
@@ -430,10 +440,17 @@ class Kernel {
 
   /// Charge one data stream of `bytes` between the calling core and
   /// `mem_node` at `rate` bytes/us (plus one access latency), advancing the
-  /// thread clock. Building block for layered traffic models. `dir` matters
-  /// only on tiers with asymmetric write bandwidth (e.g. kFar).
+  /// thread clock as kMemAccess. Building block for layered traffic models,
+  /// and access()'s per-run charge. `dir` matters only on tiers with
+  /// asymmetric write bandwidth (e.g. kFar).
   void charge_stream(ThreadCtx& t, topo::NodeId mem_node, std::uint64_t bytes,
-                     double rate, MemDir dir = MemDir::kRead);
+                     double rate, MemDir dir = MemDir::kRead) {
+    const topo::NodeId core_node = topo_.node_of_core(t.core);
+    const sim::Time lat = topo_.access_latency(core_node, mem_node);
+    const sim::Slot s = hw_.stream(t.clock, core_node, mem_node, bytes, rate, dir);
+    t.stats.add(sim::CostKind::kMemAccess, s.finish + lat - t.clock);
+    t.clock = s.finish + lat;
+  }
 
   /// Convenience: access + actually move bytes when frames are materialized.
   int read_bytes(ThreadCtx& t, vm::Vaddr addr, std::span<std::byte> out);
@@ -623,6 +640,41 @@ class Kernel {
   void populate_huge_block(ThreadCtx& t, Process& p, const vm::Vma& vma,
                            vm::Vpn vpn);
 
+  /// The node a first-touch fault on `vpn` of `vma` allocates on: the VMA's
+  /// policy, else the task policy, resolved for the faulting core's node,
+  /// which is also the answer when the policy names no node.
+  topo::NodeId fault_target(const ThreadCtx& t, const Process& p,
+                            const vm::Vma& vma, vm::Vpn vpn) const {
+    const topo::NodeId local = topo_.node_of_core(t.core);
+    const vm::MemPolicy& eff =
+        vma.policy.mode != vm::PolicyMode::kDefault ? vma.policy : p.task_policy;
+    const topo::NodeId target =
+        eff.mode == vm::PolicyMode::kPreferredMany
+            ? preferred_many_target(eff.nodes, local)
+            : eff.target_node(vma.pgoff(vpn), local, topo_.num_nodes());
+    return target == topo::kInvalidNode ? local : target;
+  }
+
+  /// A first-touch fault's allocation and PTE update, then the zero-fill of
+  /// `bytes` through `node`'s DRAM, all billed as kAllocZero.
+  void zero_fill(ThreadCtx& t, topo::NodeId node, std::uint64_t bytes) {
+    charge(t, cost_.page_alloc + cost_.pte_update, sim::CostKind::kAllocZero);
+    const sim::Slot z = hw_.stream(t.clock, topo_.node_of_core(t.core), node,
+                                   bytes, cost_.zero_rate_bytes_per_us,
+                                   MemDir::kWrite);
+    t.stats.add(sim::CostKind::kAllocZero, z.finish - t.clock);
+    t.clock = z.finish;
+  }
+
+  /// Copy `bytes` from `from` to `to` on the calling thread's clock at
+  /// `rate` bytes/us, billed as `kind`.
+  void charge_copy(ThreadCtx& t, topo::NodeId from, topo::NodeId to,
+                   std::uint64_t bytes, double rate, sim::CostKind kind) {
+    const sim::Slot c = hw_.copy(t.clock, from, to, bytes, rate);
+    t.stats.add(kind, c.finish - t.clock);
+    t.clock = c.finish;
+  }
+
   /// Outcome of one page migration through the isolate→alloc→copy→remap
   /// pipeline. Anything but kOk means the pipeline rolled back: the original
   /// frame is still mapped and valid, nothing leaked.
@@ -720,9 +772,13 @@ class Kernel {
   /// back to the best-ranked member when all are pressured.
   topo::NodeId preferred_many_target(topo::NodeMask mask, topo::NodeId local) const;
 
-  /// Cost of one all-core TLB shootdown, re-sending the IPI when the
-  /// injector drops it. Also bumps the shootdown stats.
-  sim::Time shootdown_cost(const ThreadCtx& t);
+  /// One all-core TLB-shootdown IPI round that flushes `pages` migrated
+  /// pages, or, with 0, the whole TLB: every flush the kernel makes is one
+  /// call. A round the injector drops waits out the acknowledgement timeout
+  /// and is re-sent (kern.shootdown_retries, a shootdown-retry tracepoint on
+  /// `t`). Counts kern.tlb_shootdowns, samples kern.shootdown_rounds and
+  /// returns the cost, which the caller bills or folds into a hold.
+  sim::Time shootdown_round(const ThreadCtx& t, std::uint64_t pages = 0);
 
   /// The one page-migration pipeline: every page move in the kernel goes
   /// through here. Moves the present page `vpn` to `target` as `how` says.
@@ -851,11 +907,6 @@ class Kernel {
                                vm::Vaddr hi, sim::Time start, sim::Time hold,
                                bool exclusive);
 
-  /// One coalesced shootdown round for a migrated run of `pages`: bumps the
-  /// shootdown stats/histogram and returns its cost (the caller folds it
-  /// into a serialized hold).
-  sim::Time shootdown_round(std::uint64_t pages);
-
   /// kmigrated batch execution: validate-free walk of one range, performing
   /// the page moves with all time charged to `node`'s daemon timeline
   /// starting at `submit`. Returns pages queued. `engine` is kConfigured or
@@ -883,11 +934,6 @@ class Kernel {
 
   void deliver_sigsegv(ThreadCtx& t, Process& p, const SigInfo& info,
                        AccessResult& res);
-
-  void charge(ThreadCtx& t, sim::Time dur, sim::CostKind kind) {
-    t.clock += dur;
-    t.stats.add(kind, dur);
-  }
 
   /// Soft-TLB invalidation: retire every cached extent descriptor of `p` by
   /// advancing its mapping generation. Called from every site that narrows a

@@ -181,20 +181,6 @@ mem::FrameId Kernel::alloc_user_frame(ThreadCtx& t, vm::Vpn vpn,
   return phys_.alloc_near(target, /*use_reserve=*/true);
 }
 
-sim::Time Kernel::shootdown_cost(const ThreadCtx& t) {
-  sim::Time c = cost_.tlb_shootdown(topo_.num_cores());
-  std::uint64_t rounds = 1;
-  if (injector_ != nullptr && injector_->drop_shootdown()) {
-    // One IPI was lost: wait out the acknowledgement timeout, re-broadcast.
-    c += cost_.tlb_shootdown_resend_wait + cost_.tlb_shootdown(topo_.num_cores());
-    ++kstats_.shootdown_retries;
-    ++rounds;
-    trace(t, EventType::kShootdownRetry, 0, 1);
-  }
-  if (h_shootdown_rounds_ != nullptr) h_shootdown_rounds_->record(rounds);
-  return c;
-}
-
 void Kernel::set_task_policy(Pid pid, const vm::MemPolicy& pol) {
   Process& p = proc(pid);
   p.task_policy = pol;
@@ -203,25 +189,11 @@ void Kernel::set_task_policy(Pid pid, const vm::MemPolicy& pol) {
 
 void Kernel::populate_page(ThreadCtx& t, Process& p, const vm::Vma& vma,
                            vm::Vpn vpn, vm::Pte& pte) {
-  const topo::NodeId local = topo_.node_of_core(t.core);
-  const vm::MemPolicy& eff =
-      vma.policy.mode != vm::PolicyMode::kDefault ? vma.policy : p.task_policy;
-  topo::NodeId target = eff.mode == vm::PolicyMode::kPreferredMany
-                            ? preferred_many_target(eff.nodes, local)
-                            : eff.target_node(vma.pgoff(vpn), local, topo_.num_nodes());
-  if (target == topo::kInvalidNode) target = local;
-
-  const mem::FrameId frame = alloc_user_frame(t, vpn, target);
+  const mem::FrameId frame =
+      alloc_user_frame(t, vpn, fault_target(t, p, vma, vpn));
   if (frame == mem::kInvalidFrame) throw std::runtime_error{"simulated OOM"};
   const topo::NodeId node = phys_.node_of(frame);
-
-  // Allocation + zero-fill through the target node's DRAM.
-  charge(t, cost_.page_alloc + cost_.pte_update, sim::CostKind::kAllocZero);
-  const sim::Slot z = hw_.stream(t.clock, local, node, mem::kPageSize,
-                                 cost_.zero_rate_bytes_per_us, MemDir::kWrite);
-  t.stats.add(sim::CostKind::kAllocZero, z.finish - t.clock);
-  t.clock = z.finish;
-
+  zero_fill(t, node, mem::kPageSize);
   if (std::byte* d = phys_.data(frame)) std::memset(d, 0, mem::kPageSize);
 
   pte.flags = vm::Pte::kPresent | vm::Pte::kAccessed;
@@ -258,13 +230,18 @@ sim::Slot Kernel::range_lock_reserve(ThreadCtx& t, Process& p, vm::Vaddr lo,
   return out;
 }
 
-sim::Time Kernel::shootdown_round(std::uint64_t pages) {
-  sim::Time c = cost_.tlb_shootdown_round(topo_.num_cores(), pages);
+sim::Time Kernel::shootdown_round(const ThreadCtx& t, std::uint64_t pages) {
+  // tlb_shootdown_round(cores, 0) is tlb_shootdown(cores): a full flush is
+  // a round over no pages.
+  const unsigned cores = topo_.num_cores();
+  sim::Time c = cost_.tlb_shootdown_round(cores, pages);
   std::uint64_t rounds = 1;
   if (injector_ != nullptr && injector_->drop_shootdown()) {
-    c += cost_.tlb_shootdown_resend_wait + cost_.tlb_shootdown(topo_.num_cores());
+    // One IPI was lost: wait out the acknowledgement timeout, re-broadcast.
+    c += cost_.tlb_shootdown_resend_wait + cost_.tlb_shootdown(cores);
     ++kstats_.shootdown_retries;
     ++rounds;
+    trace(t, EventType::kShootdownRetry, 0, 1);
   }
   ++kstats_.tlb_shootdowns;
   if (h_shootdown_rounds_ != nullptr) h_shootdown_rounds_->record(rounds);
@@ -285,7 +262,7 @@ void Kernel::do_migration_batch_tail(ThreadCtx& t, Process& p, CopyBatch& copies
     // the range locks only — disjoint runs never see each other.
     const sim::Time per_page =
         txn ? cost_.txn_range_commit_serial_per_page : share.range;
-    const sim::Time hold = pages * per_page + shootdown_round(pages);
+    const sim::Time hold = pages * per_page + shootdown_round(t, pages);
     slot = range_lock_reserve(t, p, lo, hi, entry, hold, /*exclusive=*/true);
   } else {
     const sim::Time per_page = txn ? cost_.txn_commit_serial_per_page : share.coarse;
@@ -408,10 +385,8 @@ Kernel::MigrateResult Kernel::do_migrate_page(const PageMover& how, Process& p,
     } else if (bill.copies != nullptr) {
       bill.copies->add(from, target, mem::kPageSize, how.copy_kind);
     } else {
-      const sim::Slot c = hw_.copy(t.clock, from, target, mem::kPageSize,
-                                   cost_.kernel_copy_bytes_per_us);
-      t.stats.add(how.copy_kind, c.finish - t.clock);
-      t.clock = c.finish;
+      charge_copy(t, from, target, mem::kPageSize, cost_.kernel_copy_bytes_per_us,
+                  how.copy_kind);
     }
   };
 
@@ -441,21 +416,10 @@ void Kernel::populate_huge_block(ThreadCtx& t, Process& p, const vm::Vma& vma,
                                  vm::Vpn vpn) {
   constexpr std::uint64_t kHugePages = (2ull << 20) >> mem::kPageShift;
   const vm::Vpn block = vpn & ~(kHugePages - 1);
-  const topo::NodeId local = topo_.node_of_core(t.core);
-  const vm::MemPolicy& eff =
-      vma.policy.mode != vm::PolicyMode::kDefault ? vma.policy : p.task_policy;
-  topo::NodeId target = eff.mode == vm::PolicyMode::kPreferredMany
-                            ? preferred_many_target(eff.nodes, local)
-                            : eff.target_node(vma.pgoff(block), local, topo_.num_nodes());
-  if (target == topo::kInvalidNode) target = local;
-
+  const topo::NodeId target = fault_target(t, p, vma, block);
   // One fault maps the whole block: one PTE-level update, one 2 MiB
   // zero-fill, one allocation episode (the huge frame).
-  charge(t, cost_.page_alloc + cost_.pte_update, sim::CostKind::kAllocZero);
-  const sim::Slot z = hw_.stream(t.clock, local, target, 2ull << 20,
-                                 cost_.zero_rate_bytes_per_us, MemDir::kWrite);
-  t.stats.add(sim::CostKind::kAllocZero, z.finish - t.clock);
-  t.clock = z.finish;
+  zero_fill(t, target, 2ull << 20);
 
   for (vm::Vpn v = block; v < block + kHugePages; ++v) {
     vm::Pte& pte = p.as.page_table().ensure(v);
@@ -511,8 +475,7 @@ void Kernel::collapse_replicas(ThreadCtx& t, Process& p, vm::Pte& pte, vm::Vpn v
                   sim::CostKind::kReplicaControl, sim::CostKind::kReplicaCopy},
                  p, pte, vpn, writer);
   }
-  charge(t, shootdown_cost(t), sim::CostKind::kTlbShootdown);
-  ++kstats_.tlb_shootdowns;
+  charge(t, shootdown_round(t), sim::CostKind::kTlbShootdown);
   ++kstats_.replica_collapses;
   trace(t, EventType::kReplicaCollapse, vpn, frames.size(), topo::kInvalidNode, writer);
   pte.clear(vm::Pte::kReplica);
@@ -772,15 +735,8 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
   topo::NodeId run_node = topo::kInvalidNode;
   std::uint64_t run_bytes = 0;
   auto flush_run = [&] {
-    if (run_bytes == 0 || stream_rate_bytes_per_us <= 0.0) {
-      run_bytes = 0;
-      return;
-    }
-    const sim::Slot s = hw_.stream(t.clock, core_node, run_node, run_bytes,
-                                   stream_rate_bytes_per_us, dir);
-    const sim::Time lat = topo_.access_latency(core_node, run_node);
-    t.stats.add(sim::CostKind::kMemAccess, s.finish + lat - t.clock);
-    t.clock = s.finish + lat;
+    if (run_bytes != 0 && stream_rate_bytes_per_us > 0.0)
+      charge_stream(t, run_node, run_bytes, stream_rate_bytes_per_us, dir);
     run_bytes = 0;
   };
   walk_extent(
@@ -799,15 +755,6 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
                        {cost_.nt_serial_per_page, cost_.nt_range_serial_per_page});
   if (!p.numab.pending.empty()) numab_flush_promotions(t, p);
   return res;
-}
-
-void Kernel::charge_stream(ThreadCtx& t, topo::NodeId mem_node,
-                           std::uint64_t bytes, double rate, MemDir dir) {
-  const topo::NodeId core_node = topo_.node_of_core(t.core);
-  const sim::Slot s = hw_.stream(t.clock, core_node, mem_node, bytes, rate, dir);
-  const sim::Time lat = topo_.access_latency(core_node, mem_node);
-  t.stats.add(sim::CostKind::kMemAccess, s.finish + lat - t.clock);
-  t.clock = s.finish + lat;
 }
 
 AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
@@ -926,10 +873,8 @@ int Kernel::user_memcpy(ThreadCtx& t, vm::Vaddr dst, vm::Vaddr src,
   std::uint64_t run_bytes = 0;
   auto flush = [&] {
     if (run_bytes == 0) return;
-    const sim::Slot s =
-        hw_.copy(t.clock, run_from, run_to, run_bytes, cost_.user_copy_bytes_per_us);
-    t.stats.add(sim::CostKind::kMemAccess, s.finish - t.clock);
-    t.clock = s.finish;
+    charge_copy(t, run_from, run_to, run_bytes, cost_.user_copy_bytes_per_us,
+                sim::CostKind::kMemAccess);
     run_bytes = 0;
   };
 

@@ -43,14 +43,13 @@ SyscallResult Kernel::sys_munmap(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
   if (cfg_.lock_model == LockModel::kRange) {
     // One exclusive whole-space hold covers base + teardown + shootdown.
     const sim::Time work = cost_.munmap_base + cost_.munmap_page * present +
-                           shootdown_cost(t);
+                           shootdown_round(t);
     take_slot(t, p.mmap_rw.reserve_exclusive(t.clock, work),
               sim::CostKind::kSyscallEntry);
   } else {
-    charge(t, cost_.munmap_page * present + shootdown_cost(t),
+    charge(t, cost_.munmap_page * present + shootdown_round(t),
            sim::CostKind::kSyscallEntry);
   }
-  ++kstats_.tlb_shootdowns;
   return 0;
 }
 
@@ -91,7 +90,7 @@ SyscallResult Kernel::sys_mprotect(ThreadCtx& t, vm::Vaddr addr, std::uint64_t l
   stlb_invalidate(p);  // protect site: hw permission bits rewritten
 
   const sim::Time work = cost_.mprotect_base + cost_.mprotect_page * present +
-                         shootdown_cost(t);
+                         shootdown_round(t);
   // Protection changes rewrite VMAs, so the scalable model still takes the
   // whole-space lock exclusively.
   take_slot(t,
@@ -99,7 +98,6 @@ SyscallResult Kernel::sys_mprotect(ThreadCtx& t, vm::Vaddr addr, std::uint64_t l
                 ? p.mmap_rw.reserve_exclusive(t.clock, work)
                 : p.mmap_lock.reserve(t.clock, work, t.core, cost_.lock_bounce),
             attribute);
-  ++kstats_.tlb_shootdowns;
   return 0;
 }
 
@@ -122,9 +120,8 @@ SyscallResult Kernel::sys_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t le
       const std::uint64_t dropped = release_frames(p, addr, len);
       stlb_invalidate(p);  // remap site: PTEs dropped to not-present
       const sim::Time work = cost_.madvise_base + cost_.page_free * dropped +
-                             shootdown_cost(t);
+                             shootdown_round(t);
       charge(t, work, sim::CostKind::kMadvise);
-      ++kstats_.tlb_shootdowns;
       return 0;
     }
 
@@ -146,9 +143,8 @@ SyscallResult Kernel::sys_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t le
       p.as.page_table().for_each_run(vm::vpn_of(addr), vend, arm_run);
       stlb_invalidate(p);  // flag site: kReplica set / hw write cleared
       const sim::Time work = cost_.madvise_base + cost_.madvise_page_mark * marked +
-                             shootdown_cost(t);
+                             shootdown_round(t);
       charge(t, work, sim::CostKind::kMadvise);
-      ++kstats_.tlb_shootdowns;
       return 0;
     }
 
@@ -179,7 +175,7 @@ SyscallResult Kernel::sys_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t le
       stlb_invalidate(p);  // flag site: kNextTouch armed, hw bits cleared
       trace(t, EventType::kNextTouchMark, vm::vpn_of(addr), marked);
       const sim::Time work = cost_.madvise_base + cost_.madvise_page_mark * marked +
-                             shootdown_cost(t);
+                             shootdown_round(t);
       sim::Slot slot;
       if (cfg_.lock_model == LockModel::kRange) {
         // Marking only rewrites PTE bits: mmap_sem is taken *shared* and the
@@ -192,7 +188,6 @@ SyscallResult Kernel::sys_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t le
         slot = p.mmap_lock.reserve(t.clock, work, t.core, cost_.lock_bounce);
       }
       take_slot(t, slot, sim::CostKind::kMadvise);
-      ++kstats_.tlb_shootdowns;
       return 0;
     }
   }

@@ -115,10 +115,9 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
     // flushed locally; the remote round lands here). The next-touch
     // resolution needs no soft-TLB bump — NT pages cannot sit under a
     // current-generation descriptor, since arming them bumped the generation.
-    const sim::Time round = cost_.tlb_shootdown_round(topo_.num_cores(), moved);
-    if (txn) dt.clock += round;
+    const sim::Time round = shootdown_round(dt, moved);
+    if (txn) charge(dt, round, sim::CostKind::kTlbShootdown);
     else service += round;
-    ++kstats_.tlb_shootdowns;
   }
 
   const sim::Time busy_until =

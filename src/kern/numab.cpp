@@ -148,7 +148,7 @@ void Kernel::numab_scan(ThreadCtx& t, Process& p) {
     stlb_invalidate(p);
     charge(t, cost_.numab_scan_page * marked, sim::CostKind::kNumaScan);
     // change_prot_numa flushes the TLBs once per window, not per page.
-    charge(t, shootdown_round(marked), sim::CostKind::kTlbShootdown);
+    charge(t, shootdown_round(t, marked), sim::CostKind::kTlbShootdown);
   }
   if (h_numab_scan_ != nullptr) h_numab_scan_->record(marked);
   trace(t, EventType::kNumaScan, vm::vpn_of(window_start), marked);

@@ -41,10 +41,8 @@ void TxnMigrator::copy_pass(ThreadCtx& t, vm::Pte& pte, topo::NodeId from) {
   // transaction now watches. Retire the descriptors.
   k_.stlb_invalidate(k_.proc(pid_));
   injected_dirty_ = false;
-  const sim::Slot c = k_.hw_.copy(t.clock, from, target_, mem::kPageSize,
-                                  k_.cost_.kernel_copy_bytes_per_us);
-  t.stats.add(copy_kind_, c.finish - t.clock);
-  t.clock = c.finish;
+  k_.charge_copy(t, from, target_, mem::kPageSize,
+                 k_.cost_.kernel_copy_bytes_per_us, copy_kind_);
   if (k_.injector_ != nullptr) {
     switch (k_.injector_->copy_verdict()) {
       case CopyVerdict::kOk:
@@ -90,7 +88,7 @@ void TxnMigrator::do_shadow_copy(ThreadCtx& t) {
   k_.phys_.mark_shadow(shadow_);
   hw_bits_ = pte->flags & (vm::Pte::kHwRead | vm::Pte::kHwWrite);
   marks_ = pte->flags & (vm::Pte::kNextTouch | vm::Pte::kNumaHint);
-  k_.charge(t, k_.cost_.txn_shadow_control, control_kind_);
+  charge(t, k_.cost_.txn_shadow_control, control_kind_);
   copy_pass(t, *pte, pte->node());
   state_ = TxnState::kWriteProtect;
 }
@@ -101,7 +99,7 @@ void TxnMigrator::do_write_protect(ThreadCtx& t) {
     state_ = TxnState::kAbort;
     return;
   }
-  k_.charge(t, k_.cost_.pte_update + k_.cost_.tlb_flush_local, control_kind_);
+  charge(t, k_.cost_.pte_update + k_.cost_.tlb_flush_local, control_kind_);
   pte->clear(vm::Pte::kHwWrite);
   pte->set(vm::Pte::kTxn);
   // Txn-arm site: a cached write descriptor still promises kHwWrite. Retiring
@@ -113,7 +111,7 @@ void TxnMigrator::do_write_protect(ThreadCtx& t) {
 }
 
 void TxnMigrator::do_verify(ThreadCtx& t) {
-  k_.charge(t, k_.cost_.txn_verify, control_kind_);
+  charge(t, k_.cost_.txn_verify, control_kind_);
   vm::Pte* pte = find_pte();
   if (invalidated(pte) || injected_permanent_) {
     state_ = TxnState::kAbort;
@@ -134,7 +132,7 @@ void TxnMigrator::do_commit(ThreadCtx& t) {
     state_ = TxnState::kDirtyRetry;
     return;
   }
-  k_.charge(t, k_.cost_.txn_commit, control_kind_);
+  charge(t, k_.cost_.txn_commit, control_kind_);
   const topo::NodeId from = pte->node();
   k_.phys_.clear_shadow(shadow_);
   k_.commit_page(k_.proc(pid_), *pte, vpn_, shadow_, target_);
@@ -154,7 +152,7 @@ void TxnMigrator::do_dirty_retry(ThreadCtx& t) {
     state_ = TxnState::kAbort;
     return;
   }
-  k_.charge(t, k_.cost_.txn_backoff(retries_), control_kind_);
+  charge(t, k_.cost_.txn_backoff(retries_), control_kind_);
   ++retries_;
   ++k_.kstats_.txn_dirty_retries;
   k_.trace(t, EventType::kTxnDirtyRetry, vpn_, 1, pte->node(), target_);
@@ -173,7 +171,7 @@ void TxnMigrator::do_abort(ThreadCtx& t) {
     // before do_write_protect armed kTxn. Setting it only widens.
     if (was_dirty_) pte->set(vm::Pte::kDirty);
     if (pte->flags & vm::Pte::kTxn) {
-      k_.charge(t, k_.cost_.pte_update, control_kind_);
+      charge(t, k_.cost_.pte_update, control_kind_);
       pte->clear(vm::Pte::kTxn | vm::Pte::kHwRead | vm::Pte::kHwWrite);
       pte->set(hw_bits_);
       // Restoring hw bits only widens, but bump anyway: cheap, and keeps the

@@ -54,8 +54,8 @@ sim::Task<void> Team::parallel(Thread& caller, WorkerFn fn, std::string region) 
   state->engine = &m_.engine();
   state->remaining = size();
 
-  caller.ctx().clock += m_.cost().thread_spawn;  // one fork episode
-  caller.ctx().stats.add(sim::CostKind::kOther, m_.cost().thread_spawn);
+  kern::charge(caller.ctx(), m_.cost().thread_spawn,
+               sim::CostKind::kOther);  // one fork episode
   const sim::Time start = caller.ctx().clock;
 
   std::vector<Thread*> workers;
@@ -85,39 +85,18 @@ sim::Task<void> Team::parallel(Thread& caller, WorkerFn fn, std::string region) 
 }
 
 sim::Task<void> Team::parallel_for(Thread& caller, std::uint64_t begin,
-                                   std::uint64_t end, Schedule sched, IndexFn body,
-                                   std::uint64_t chunk, std::string region) {
-  if (chunk == 0) chunk = 1;
+                                   std::uint64_t end, IndexFn body,
+                                   std::string region) {
   const std::uint64_t n = end > begin ? end - begin : 0;
-
-  // NOTE: worker lambdas are named before the co_await on purpose — writing a
-  // lambda literal inside a co_await expression miscompiles on GCC 12
+  const std::uint64_t per = (n + size() - 1) / size();
+  // NOTE: the worker lambda is named before the co_await on purpose — writing
+  // a lambda literal inside a co_await expression miscompiles on GCC 12
   // (closure temporary destroyed at the suspension point; see
   // docs/gcc12-coroutine-bug.md). The same discipline applies to callers.
-  if (sched == Schedule::kStatic) {
-    const std::uint64_t per = (n + size() - 1) / size();
-    WorkerFn worker = [=](unsigned tid, Thread& th) -> sim::Task<void> {
-      const std::uint64_t lo = begin + std::min<std::uint64_t>(n, tid * per);
-      const std::uint64_t hi = begin + std::min<std::uint64_t>(n, (tid + 1) * per);
-      for (std::uint64_t i = lo; i < hi; ++i) co_await body(tid, th, i);
-    };
-    co_await parallel(caller, std::move(worker), std::move(region));
-    co_return;
-  }
-
-  // Dynamic: shared work counter; each grab costs kDispatchCost.
-  auto next = std::make_shared<std::uint64_t>(begin);
   WorkerFn worker = [=](unsigned tid, Thread& th) -> sim::Task<void> {
-    for (;;) {
-      th.ctx().clock += kDispatchCost;
-      th.ctx().stats.add(sim::CostKind::kOther, kDispatchCost);
-      co_await th.sync();
-      if (*next >= end) co_return;
-      const std::uint64_t lo = *next;
-      const std::uint64_t hi = std::min(end, lo + chunk);
-      *next = hi;
-      for (std::uint64_t i = lo; i < hi; ++i) co_await body(tid, th, i);
-    }
+    const std::uint64_t lo = begin + std::min<std::uint64_t>(n, tid * per);
+    const std::uint64_t hi = begin + std::min<std::uint64_t>(n, (tid + 1) * per);
+    for (std::uint64_t i = lo; i < hi; ++i) co_await body(tid, th, i);
   };
   co_await parallel(caller, std::move(worker), std::move(region));
 }

@@ -2,9 +2,9 @@
 //
 // `parallel` forks one worker per core and joins them (the caller's clock
 // advances to the slowest worker's finish — an implicit barrier, as at the
-// end of an OpenMP parallel region). `parallel_for` adds static (GOMP
-// default) and dynamic scheduling over an index range; Table 1 and Fig. 8
-// run on top of this.
+// end of an OpenMP parallel region). `parallel_for` adds static scheduling
+// (the GOMP default) over an index range; Table 1 and Fig. 8 run on top of
+// this.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +16,6 @@
 #include "rt/thread.hpp"
 
 namespace numasim::rt {
-
-enum class Schedule : std::uint8_t { kStatic, kDynamic };
 
 class Team {
  public:
@@ -40,12 +38,10 @@ class Team {
 
   using IndexFn =
       std::function<sim::Task<void>(unsigned tid, Thread&, std::uint64_t i)>;
-  /// Distribute [begin, end) across the team. Static: contiguous blocks
-  /// (GCC's GOMP default). Dynamic: workers pull `chunk`-sized slices from a
-  /// shared counter, paying a small dispatch cost per slice.
+  /// Distribute [begin, end) across the team in contiguous blocks, one per
+  /// worker (GCC's GOMP default static schedule).
   sim::Task<void> parallel_for(Thread& caller, std::uint64_t begin,
-                               std::uint64_t end, Schedule sched, IndexFn body,
-                               std::uint64_t chunk = 1,
+                               std::uint64_t end, IndexFn body,
                                std::string region = "parallel_for");
 
   /// Aggregate cost stats of the workers of the last region.
@@ -54,8 +50,6 @@ class Team {
   sim::Time last_span() const { return last_span_; }
 
  private:
-  static constexpr sim::Time kDispatchCost = 250;  // dynamic-schedule grab
-
   Machine& m_;
   std::vector<topo::CoreId> cores_;
   sim::CostStats last_stats_;

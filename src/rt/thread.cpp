@@ -14,14 +14,13 @@ Thread::Thread(Machine& m, kern::ThreadId tid, topo::CoreId core) : m_(m) {
 Thread::Step<> Thread::sync() { return step(); }
 
 Thread::Step<> Thread::compute(sim::Time ns) {
-  ctx_.clock += ns;
-  ctx_.stats.add(sim::CostKind::kCompute, ns);
+  kern::charge(ctx_, ns, sim::CostKind::kCompute);
   return step();
 }
 
 Thread::Step<> Thread::migrate_to_core(topo::CoreId core) {
-  ctx_.clock += m_.cost().thread_spawn;  // context migration cost
-  ctx_.stats.add(sim::CostKind::kOther, m_.cost().thread_spawn);
+  kern::charge(ctx_, m_.cost().thread_spawn,
+               sim::CostKind::kOther);  // context migration cost
   ctx_.core = core;
   return step();
 }

@@ -22,9 +22,8 @@ sim::Task<void> Balancer::tick(rt::Thread& self) {
     const sim::Time begin = self.now();
     // The pass runs in the calling task's context and on its dime
     // (task_numa_placement runs from task work, not a separate daemon).
-    self.ctx().clock += m_.cost().numab_balance_eval;
-    self.ctx().stats.add(sim::CostKind::kNumaBalance,
-                         m_.cost().numab_balance_eval);
+    kern::charge(self.ctx(), m_.cost().numab_balance_eval,
+                 sim::CostKind::kNumaBalance);
     evaluate(self.now());
     m_.kernel().emit_span(self.ctx(), "numab-balance", begin, "sched");
   }

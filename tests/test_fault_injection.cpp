@@ -355,6 +355,39 @@ TEST_F(FaultInjectionTest, DroppedShootdownIsResentAndCharged) {
   EXPECT_GT(log.count(EventType::kShootdownRetry), 0u);
 }
 
+TEST(KmigratedShootdown, DroppedBatchRoundIsResentCountedAndTraced) {
+  // A kmigrated batch's coalesced round is one shootdown like any other
+  // flush: a dropped IPI is re-sent, counted and traced, under both engines.
+  for (MigrationMode mode :
+       {MigrationMode::kStopAndCopy, MigrationMode::kTransactional}) {
+    FaultInjector inj(FaultPlan::parse("shootdown:p=1.0"), 8);
+    EventLog log;  // both outlive the kernel
+    Kernel k(KernelConfig{.topology = topo::Topology::quad_opteron(),
+                          .backing = mem::Backing::kPhantom,
+                          .migration_mode = mode});
+    const Pid pid = k.create_process();
+    ThreadCtx t;
+    t.pid = pid;
+    const std::uint64_t len = 8 * mem::kPageSize;
+    const vm::Vaddr a = k.sys_mmap(t, len, vm::Prot::kReadWrite,
+                                   vm::MemPolicy::bind(topo::node_mask_of(0)));
+    k.access(t, a, len, vm::Prot::kWrite, 3500.0);
+    k.add_trace_sink(&log);
+    k.set_fault_injector(&inj);
+
+    const Kernel::MoveRange r{a, len, 2};
+    EXPECT_EQ(k.sys_move_pages_async(t, std::span{&r, 1}).count(), 8);
+    k.kmigrated_drain(t);
+    EXPECT_EQ(k.stats().kmigrated_pages, 8u) << migration_mode_name(mode);
+    EXPECT_EQ(k.stats().shootdown_retries, 1u) << migration_mode_name(mode);
+    EXPECT_EQ(log.count(EventType::kShootdownRetry), 1u)
+        << migration_mode_name(mode);
+    k.set_fault_injector(nullptr);
+    k.remove_trace_sink(&log);
+    k.validate(pid);
+  }
+}
+
 TEST_F(FaultInjectionTest, DelayedSignalStillDelivers) {
   lib::UserNextTouch unt(k_, pid_);
   ThreadCtx t0 = ctx_on(0);

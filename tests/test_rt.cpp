@@ -206,23 +206,8 @@ TEST(Team, StaticScheduleIsContiguousPartition) {
       owner[i] = static_cast<int>(tid);
       co_return;
     };
-    co_await team.parallel_for(th, 0, 40, Schedule::kStatic, std::move(body));
+    co_await team.parallel_for(th, 0, 40, std::move(body));
     for (int i = 0; i < 40; ++i) EXPECT_EQ(owner[i], i / 10);
-  });
-}
-
-TEST(Team, DynamicScheduleCoversAllExactlyOnce) {
-  Machine m(small_config());
-  m.run_main(0, [&](Thread& th) -> sim::Task<void> {
-    Team team(m, {0, 4, 8, 12});
-    std::vector<unsigned> count(101, 0);
-    Team::IndexFn body = [&](unsigned, Thread& w, std::uint64_t i) -> sim::Task<void> {
-      ++count[i];
-      co_await w.compute(100 + (i % 7) * 50);
-    };
-    co_await team.parallel_for(th, 0, 101, Schedule::kDynamic, std::move(body),
-                               /*chunk=*/3);
-    for (unsigned c : count) EXPECT_EQ(c, 1u);
   });
 }
 

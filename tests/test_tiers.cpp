@@ -248,6 +248,22 @@ TEST(TierDemotion, WatermarkPassDemotesColdPages) {
   rig.k.validate(rig.pid);
 }
 
+TEST(TierDemotion, EveryShootdownIsSampledDaemonRoundsIncluded) {
+  // The demotion batch runs on kmigrated, whose coalesced round is sampled
+  // in kern.shootdown_rounds like the scan windows' rounds.
+  obs::Registry reg;  // outlives the kernel
+  DemotionRig rig(demotion_config());
+  rig.k.set_metrics(&reg);
+  const std::uint64_t before = reg.snapshot().counters.at("kern.tlb_shootdowns");
+  for (int i = 0; i < 4; ++i) rig.window();
+  ASSERT_EQ(rig.k.stats().tier_demotions, 64u);
+
+  const obs::Snapshot s = reg.snapshot();
+  const std::uint64_t flushes = s.counters.at("kern.tlb_shootdowns") - before;
+  EXPECT_GT(flushes, 0u);
+  EXPECT_EQ(s.histograms.at("kern.shootdown_rounds").count, flushes);
+}
+
 TEST(TierDemotion, HysteresisBlocksPingPongWithinScanPeriod) {
   DemotionRig rig(demotion_config());
   for (int i = 0; i < 4; ++i) rig.window();
