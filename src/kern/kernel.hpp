@@ -589,14 +589,38 @@ class Kernel {
   /// Charge the accumulated copies of a batch, each run as its own kind.
   void flush_copy_batch(ThreadCtx& t, CopyBatch& batch);
 
-  /// Page-fault entry point. Returns true if the access should be retried.
-  /// Migration and replica copy traffic is deferred into `copies`.
-  /// (Instrumented wrapper around do_handle_fault: "fault" span +
-  /// kern.fault_service_ns histogram.)
-  bool handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
-                    AccessResult& res, CopyBatch& copies);
-  bool do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
-                       AccessResult& res, CopyBatch& copies);
+  /// Page-fault entry point; the caller retries the access. Migration and
+  /// replica copy traffic is deferred into `copies`. A next-touch fault may
+  /// also serve the faults of the following pages below `run_end` as one
+  /// run (nexttouch_migrate); 0 allows none. (Instrumented wrapper around
+  /// do_handle_fault: "fault" span + kern.fault_service_ns histogram, one
+  /// sample per fault served.)
+  void handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
+                    AccessResult& res, CopyBatch& copies, vm::Vpn run_end);
+  /// Returns the faults served: 1, or a next-touch run's length.
+  std::uint64_t do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
+                                vm::Prot want, AccessResult& res, CopyBatch& copies,
+                                vm::Vpn run_end);
+
+  /// do_handle_fault's next-touch fault on `pte` (page `vpn` of `vma`,
+  /// present, on a node other than the faulting core's `local`): moves the
+  /// page to `local`, or maps it where it is when `local` cannot take it
+  /// (degraded). When runs_allowed and the next PTE has its flags (same
+  /// node, same marks), the following PTEs with its flags in its page-table
+  /// chunk and VMA, below `run_end` and within `local`'s room, take their
+  /// faults with it as one migrate_run: each fault is billed, counted and
+  /// rearmed as its own would be. Returns the faults served.
+  std::uint64_t nexttouch_migrate(ThreadCtx& t, Process& p, const vm::Vma& vma,
+                                  vm::Pte& pte, vm::Vpn vpn, topo::NodeId local,
+                                  AccessResult& res, CopyBatch& copies,
+                                  vm::Vpn run_end);
+  /// The end of every next-touch fault: the mark is consumed and the
+  /// hardware bits come back from the VMA's protection.
+  static void rearm_nexttouch(vm::Pte& pte, const vm::Vma& vma) {
+    pte.clear(vm::Pte::kNextTouch);
+    pte.set(vm::Pte::kAccessed);
+    pte.restore_hw(vma.prot);
+  }
 
   /// The per-extent page walk behind access() and access_strided(): the
   /// soft-TLB check and fill, the fault-retry loop, kDirty, replica
@@ -604,13 +628,17 @@ class Kernel {
   /// page's touched bytes go to `on_page(node, bytes)` in address order (a
   /// soft-TLB hit makes one call for the whole extent); `on_fault()` runs
   /// before every fault, so a caller charging runs in order flushes first.
+  /// `fault_runs` says on_fault() bills nothing between two faults, so the
+  /// next-touch faults of [addr, end) may be served as runs
+  /// (nexttouch_migrate).
   /// Only extents of at least vm::PageTable::kChunkPages pages are looked up
   /// or cached (docs/performance.md §6). Defined in kernel_core.cpp, the
   /// only user; templated so neither caller pays an indirect call per page.
   template <typename OnPage, typename OnFault>
   void walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Vaddr end,
                    vm::Prot want, topo::NodeId core_node, AccessResult& res,
-                   CopyBatch& copies, OnPage&& on_page, OnFault&& on_fault);
+                   CopyBatch& copies, bool fault_runs, OnPage&& on_page,
+                   OnFault&& on_fault);
 
   /// The per-page step of every access walk, on a PTE that allows the
   /// access: a write sets kDirty. Returns the node that serves the access,
@@ -713,6 +741,16 @@ class Kernel {
     sim::Time billed() const {
       return service != nullptr ? *service + *copy_cursor : t.clock;
     }
+
+    /// Bill `dur` of control time: into *service for a daemon, else on t's
+    /// clock as `kind`.
+    void control(sim::Time dur, sim::CostKind kind) const {
+      if (service != nullptr) {
+        *service += dur;
+      } else {
+        charge(t, dur, kind);
+      }
+    }
   };
 
   /// How an entry point moves its pages: the pipeline's parameters, fixed
@@ -804,22 +842,65 @@ class Kernel {
   MigrateResult do_migrate_page(const PageMover& how, Process& p, vm::Pte& pte,
                                 vm::Vpn vpn, topo::NodeId target);
 
-  /// The commit step every engine ends in: copy the page's bytes into `nf`
-  /// (a frame on node `to`), free the old frame, map the PTE to `nf`, move
-  /// the page between PlacementCounts rows and retire cached soft-TLB
-  /// descriptors (the page changed nodes under them). Charges nothing; PTE
-  /// flag bits stay the caller's.
+  /// One page of a migration run: its PTE and page number.
+  struct RunPage {
+    vm::Pte* pte;
+    vm::Vpn vpn;
+  };
+
+  /// Whether `how` may move pages as runs (migrate_run): nothing can see or
+  /// perturb the per-page steps. No trace sink is attached (events carry
+  /// per-page timestamps), no fault injector (its one RNG draws in per-page
+  /// order), the engine is stop-and-copy for every page, and copies are
+  /// deferred into a CopyBatch. A metrics registry does not matter:
+  /// migrate_run samples kern.migrate_page_ns once per page.
+  bool runs_allowed(const PageMover& how) const {
+    return sinks_.empty() && injector_ == nullptr && how.bill.copies != nullptr &&
+           how.bill.copy_cursor == nullptr &&
+           (how.engine == MigrateEngine::kStopAndCopy ||
+            cfg_.migration_mode == MigrationMode::kStopAndCopy);
+  }
+
+  /// The stop-and-copy pipeline for a run of distinct present base pages (at
+  /// most vm::PageTable::kChunkPages of them), all on `from`, moving to
+  /// `target` (runs_allowed(how)): one alloc_run, the control charge times
+  /// the pages moved, one CopyBatch entry, one commit_run. Returns how many
+  /// pages, a prefix of `pages`, moved: min(size, run_room(target)), as the
+  /// allocator stops before its first refusal. Callers bound their runs by
+  /// that room and send the page past it through migrate_page (direct
+  /// demotion, ENOMEM) before they resume runs. Samples
+  /// kern.migrate_page_ns once per page moved, each its share of the time
+  /// billed.
+  std::size_t migrate_run(const PageMover& how, Process& p,
+                          std::span<const RunPage> pages, topo::NodeId from,
+                          topo::NodeId target);
+
+  /// Move pages[j] to dests[j] for every j in order, handing each page's
+  /// result to done(j, result), as one migrate_page call per page would.
+  /// Consecutive pages that share their node and destination go as one
+  /// migrate_run where runs_allowed(how), as many as the destination has
+  /// room for; a page the destination has no room for takes migrate_page,
+  /// and runs resume after it. Pages are distinct, at most
+  /// vm::PageTable::kChunkPages of them. Defined in kernel_syscalls.cpp,
+  /// its only user (move_pages chunks and migrate_pages batches).
+  template <typename Done>
+  void migrate_batch(const PageMover& how, Process& p, std::span<const RunPage> pages,
+                     std::span<const topo::NodeId> dests, Done&& done);
+
+  /// The commit step every engine ends in. For each page, on node `from`:
+  /// copy its bytes into `frames[i]` (a frame on node `to`), map the PTE to
+  /// it and move the page between PlacementCounts rows; then free the old
+  /// frames, which come back in `frames`, with one free_run, and retire
+  /// cached soft-TLB descriptors once per page (the pages changed nodes
+  /// under them). Charges nothing; PTE flag bits stay the caller's.
+  void commit_run(Process& p, std::span<const RunPage> pages,
+                  std::span<mem::FrameId> frames, topo::NodeId from,
+                  topo::NodeId to);
+  /// commit_run of one page onto `nf`.
   void commit_page(Process& p, vm::Pte& pte, vm::Vpn vpn, mem::FrameId nf,
                    topo::NodeId to) {
-    if (std::byte* dst = phys_.data(nf)) {
-      if (const std::byte* src = phys_.data(pte.frame))
-        std::memcpy(dst, src, mem::kPageSize);
-    }
-    const topo::NodeId from = pte.node();
-    phys_.free(pte.frame);
-    pte.map(nf, to);
-    p.placement.move(vpn, from, to);
-    stlb_invalidate(p);  // migrate site: the page changed nodes under any descriptor
+    const RunPage page{&pte, vpn};
+    commit_run(p, {&page, 1}, {&nf, 1}, pte.node(), to);
   }
 
   /// Terminal outcome of one transactional migration attempt. kDegraded
@@ -940,9 +1021,9 @@ class Kernel {
   /// mapping (unmap, protection/flag surgery, migration commits, numab
   /// tagging, txn arming, policy changes). Over-calling is always safe —
   /// the cost is extra stlb misses, never wrong simulation.
-  void stlb_invalidate(Process& p) {
-    ++p.mapping_gen;
-    ++kstats_.stlb_invalidations;
+  void stlb_invalidate(Process& p, std::uint64_t times = 1) {
+    p.mapping_gen += times;
+    kstats_.stlb_invalidations += times;
   }
 
   /// mm tracepoint: an instant event named after the legacy EventType. The

@@ -1,6 +1,7 @@
 // Kernel core: process management, the MMU emulation (access / faults),
 // page population and migration primitives, and timing-free inspection.
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -343,13 +344,7 @@ Kernel::MigrateResult Kernel::do_migrate_page(const PageMover& how, Process& p,
     if (how.engine == MigrateEngine::kDeferOnDegrade)
       return MigrateResult::kDeferred;
   }
-  auto charge_control = [&](sim::Time dur) {
-    if (bill.service != nullptr) {
-      *bill.service += dur;
-    } else {
-      charge(t, dur, how.control_kind);
-    }
-  };
+  auto charge_control = [&](sim::Time dur) { bill.control(dur, how.control_kind); };
 
   // Isolate→alloc: the destination frame must come from the target node
   // (strict __GFP_THISNODE), so a full node degrades this page to ENOMEM
@@ -410,6 +405,45 @@ Kernel::MigrateResult Kernel::do_migrate_page(const PageMover& how, Process& p,
   }
   commit_page(p, pte, vpn, new_frame, target);
   return MigrateResult::kOk;
+}
+
+std::size_t Kernel::migrate_run(const PageMover& how, Process& p,
+                                std::span<const RunPage> pages, topo::NodeId from,
+                                topo::NodeId target) {
+  // Every caller's run lies in one page-table chunk or one 64-page batch.
+  assert(runs_allowed(how) && from != target &&
+         pages.size() <= vm::PageTable::kChunkPages);
+  std::array<mem::FrameId, vm::PageTable::kChunkPages> frames;
+  const std::size_t moved = phys_.alloc_run(target, pages.size(), frames.data());
+  if (moved == 0) return 0;
+  // Every moved page pays what do_migrate_page bills it: the control charge,
+  // and a deferred copy, whose time the batch tail charges.
+  const sim::Time billed = how.bill.billed();
+  how.bill.control(how.control_cost * moved, how.control_kind);
+  how.bill.copies->add(from, target, moved * mem::kPageSize, how.copy_kind);
+  if (h_migrate_page_ != nullptr)
+    h_migrate_page_->record((how.bill.billed() - billed) / moved, moved);
+  commit_run(p, pages.first(moved), {frames.data(), moved}, from, target);
+  return moved;
+}
+
+void Kernel::commit_run(Process& p, std::span<const RunPage> pages,
+                        std::span<mem::FrameId> frames, topo::NodeId from,
+                        topo::NodeId to) {
+  assert(pages.size() == frames.size());
+  const bool materialized = phys_.backing() == mem::Backing::kMaterialized;
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    vm::Pte& pte = *pages[i].pte;
+    if (materialized)
+      std::memcpy(phys_.data(frames[i]), phys_.data(pte.frame), mem::kPageSize);
+    const mem::FrameId old = pte.frame;
+    pte.map(frames[i], to);
+    frames[i] = old;
+    p.placement.move(pages[i].vpn, from, to);
+  }
+  phys_.free_run(frames);
+  // Migrate site: the pages changed nodes under any descriptor.
+  stlb_invalidate(p, pages.size());
 }
 
 void Kernel::populate_huge_block(ThreadCtx& t, Process& p, const vm::Vma& vma,
@@ -504,27 +538,77 @@ void Kernel::deliver_sigsegv(ThreadCtx& t, Process& p, const SigInfo& info,
   charge(t, cost_.sigreturn, sim::CostKind::kSignalDelivery);
 }
 
-bool Kernel::handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
-                          AccessResult& res, CopyBatch& copies) {
+void Kernel::handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
+                          AccessResult& res, CopyBatch& copies, vm::Vpn run_end) {
   const sim::Time begin = t.clock;
-  const bool retry = do_handle_fault(t, p, addr, want, res, copies);
-  if (h_fault_ != nullptr) h_fault_->record(t.clock - begin);
+  const std::uint64_t faults = do_handle_fault(t, p, addr, want, res, copies, run_end);
+  // The faults of a next-touch run are billed alike, so each one's sample
+  // is an equal share of the time billed.
+  assert((t.clock - begin) % faults == 0);
+  if (h_fault_ != nullptr) h_fault_->record((t.clock - begin) / faults, faults);
   if (!sinks_.empty()) {
     emit(span_event(t, "fault", begin, t.clock - begin)
              .add_arg("vpn", static_cast<std::int64_t>(vm::vpn_of(addr))));
   }
-  return retry;
 }
 
-bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
-                             vm::Prot want, AccessResult& res, CopyBatch& copies) {
+std::uint64_t Kernel::nexttouch_migrate(ThreadCtx& t, Process& p, const vm::Vma& vma,
+                                        vm::Pte& pte, vm::Vpn vpn, topo::NodeId local,
+                                        AccessResult& res, CopyBatch& copies,
+                                        vm::Vpn run_end) {
+  const PageMover how{{t, &copies}, MigrateEngine::kConfigured, cost_.nt_fault_control,
+                      sim::CostKind::kNextTouchControl, sim::CostKind::kNextTouchCopy};
+  const topo::NodeId was = pte.node();
+  // Each following PTE with this one's flags would take this same fault, and
+  // the walk bills nothing between two faults, so no step can tell a run
+  // from them. A lone page gains nothing from a run.
+  vm::Pte* const ptes = &pte;
+  const vm::Vpn chunk_end = (vpn | (vm::PageTable::kChunkPages - 1)) + 1;
+  std::size_t n = 1;
+  if (std::min(run_end, chunk_end) > vpn + 1 && ptes[1].flags == pte.flags &&
+      !(pte.flags & vm::Pte::kHuge) && runs_allowed(how)) {
+    const vm::Vpn stop = std::min({run_end, chunk_end, vm::vpn_of(vma.end),
+                                   vpn + phys_.run_room(local)});
+    while (vpn + n < stop && ptes[n].flags == pte.flags) ++n;
+  }
+  kstats_.nexttouch_faults += n;
+  bool moved = true;
+  if (n > 1) {
+    std::array<RunPage, vm::PageTable::kChunkPages> pages;
+    for (std::size_t i = 0; i < n; ++i) pages[i] = {ptes + i, vpn + i};
+    [[maybe_unused]] const std::size_t m =
+        migrate_run(how, p, {pages.data(), n}, was, local);
+    assert(m == n);  // the run is within local's room
+    // do_handle_fault billed the first fault's entry.
+    charge(t, cost_.pagefault_entry * (n - 1), sim::CostKind::kPageFault);
+  } else {
+    moved = migrate_page(how, p, pte, vpn, local) == MigrateResult::kOk;
+  }
+  if (moved) {
+    res.nexttouch_migrations += n;
+    kstats_.pages_migrated_nexttouch += n;
+    trace(t, EventType::kNextTouchMigrate, vpn, n, was, local);
+  } else {
+    // Degraded next-touch: the local node cannot take the page (ENOMEM or
+    // copy failure). Map it where it is — the touch must never crash; only
+    // the locality optimization is lost.
+    ++kstats_.nexttouch_degraded;
+    trace(t, EventType::kNextTouchDegraded, vpn, 1, was, local);
+  }
+  for (std::size_t i = 0; i < n; ++i) rearm_nexttouch(ptes[i], vma);
+  return n;
+}
+
+std::uint64_t Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
+                                      vm::Prot want, AccessResult& res,
+                                      CopyBatch& copies, vm::Vpn run_end) {
   charge(t, cost_.pagefault_entry, sim::CostKind::kPageFault);
 
   vm::Vma* vma = p.as.find(addr);
   if (vma == nullptr || !prot_allows(vma->prot, want)) {
     ++kstats_.protection_faults;
     deliver_sigsegv(t, p, SigInfo{addr, want}, res);
-    return true;  // retry: the handler may have repaired the mapping
+    return 1;  // the retried access sees what the handler did to the mapping
   }
 
   vm::Pte& pte = p.as.page_table().ensure(vm::vpn_of(addr));
@@ -535,7 +619,7 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
       populate_page(t, p, *vma, vm::vpn_of(addr), pte);
     }
     ++res.minor_faults;
-    return false;
+    return 1;
   }
 
   if (pte.flags & vm::Pte::kReplica) {
@@ -548,7 +632,7 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
       resolve_replica(t, p, pte, vm::vpn_of(addr), topo_.node_of_core(t.core), copies);
       pte.set(vm::Pte::kHwRead);
     }
-    return false;
+    return 1;
   }
 
   if (pte.flags & vm::Pte::kTxn) {
@@ -559,38 +643,21 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
     charge(t, cost_.pte_update + cost_.tlb_flush_local, sim::CostKind::kPageFault);
     pte.clear(vm::Pte::kTxn);
     pte.restore_hw(vma->prot);
-    return false;
+    return 1;
   }
 
   if (pte.next_touch()) {
-    ++kstats_.nexttouch_faults;
     const topo::NodeId local = topo_.node_of_core(t.core);
-    if (pte.node() != local) {
-      const topo::NodeId was = pte.node();
-      if (migrate_page({{t, &copies}, MigrateEngine::kConfigured,
-                        cost_.nt_fault_control, sim::CostKind::kNextTouchControl,
-                        sim::CostKind::kNextTouchCopy},
-                       p, pte, vm::vpn_of(addr), local) == MigrateResult::kOk) {
-        ++res.nexttouch_migrations;
-        ++kstats_.pages_migrated_nexttouch;
-        trace(t, EventType::kNextTouchMigrate, vm::vpn_of(addr), 1, was, local);
-      } else {
-        // Degraded next-touch: the local node cannot take the page (ENOMEM
-        // or copy failure). Map it where it is — the touch must never
-        // crash; only the locality optimization is lost.
-        ++kstats_.nexttouch_degraded;
-        trace(t, EventType::kNextTouchDegraded, vm::vpn_of(addr), 1, was, local);
-      }
-    } else {
-      // Already local: just rearm the permissions.
-      charge(t, cost_.pte_update + cost_.tlb_flush_local,
-             sim::CostKind::kNextTouchControl);
-      ++res.nexttouch_hits_local;
-    }
-    pte.clear(vm::Pte::kNextTouch);
-    pte.set(vm::Pte::kAccessed);
-    pte.restore_hw(vma->prot);
-    return false;
+    if (pte.node() != local)
+      return nexttouch_migrate(t, p, *vma, pte, vm::vpn_of(addr), local, res, copies,
+                               run_end);
+    // Already local: just rearm the permissions.
+    ++kstats_.nexttouch_faults;
+    charge(t, cost_.pte_update + cost_.tlb_flush_local,
+           sim::CostKind::kNextTouchControl);
+    ++res.nexttouch_hits_local;
+    rearm_nexttouch(pte, *vma);
+    return 1;
   }
 
   if (pte.numa_hint() && cfg_.numa_balancing.enabled) {
@@ -598,14 +665,14 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
     // we learn who touches it. Records fault stats, rearms the PTE, and may
     // queue a confirmed remote page for promotion.
     numab_hint_fault(t, p, *vma, pte, vm::vpn_of(addr));
-    return false;
+    return 1;
   }
 
   // Present, VMA permits, but hardware bits are narrower (e.g. after an
   // mprotect widening): re-derive them from the VMA.
   charge(t, cost_.pte_update + cost_.tlb_flush_local, sim::CostKind::kPageFault);
   pte.restore_hw(vma->prot);
-  return false;
+  return 1;
 }
 
 inline topo::NodeId Kernel::access_page(ThreadCtx& t, Process& p, vm::Pte& pte,
@@ -623,7 +690,8 @@ inline topo::NodeId Kernel::access_page(ThreadCtx& t, Process& p, vm::Pte& pte,
 template <typename OnPage, typename OnFault>
 void Kernel::walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Vaddr end,
                          vm::Prot want, topo::NodeId core_node, AccessResult& res,
-                         CopyBatch& copies, OnPage&& on_page, OnFault&& on_fault) {
+                         CopyBatch& copies, bool fault_runs, OnPage&& on_page,
+                         OnFault&& on_fault) {
   vm::PageTable& pt = p.as.page_table();
   const vm::Vpn vpn0 = vm::vpn_of(addr);
   const vm::Vpn vpn_end = vm::vpn_of(end - 1) + 1;
@@ -672,7 +740,8 @@ void Kernel::walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Vaddr end
       stlb_elig = false;  // a faulting extent is not walk-free reusable
       if (++retries > kMaxFaultRetries)
         throw SegfaultError{std::max(addr, vm::addr_of(vpn))};
-      handle_fault(t, p, std::max(addr, vm::addr_of(vpn)), want, res, copies);
+      handle_fault(t, p, std::max(addr, vm::addr_of(vpn)), want, res, copies,
+                   fault_runs ? vpn_end : 0);
       pte = pt.find(vpn);
     }
     const vm::Vpn chunk_end =
@@ -739,8 +808,10 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
       charge_stream(t, run_node, run_bytes, stream_rate_bytes_per_us, dir);
     run_bytes = 0;
   };
+  // Without a stream rate, flush_run bills nothing, so faults may run.
   walk_extent(
       t, p, addr, end, want, core_node, res, copies,
+      /*fault_runs=*/!(stream_rate_bytes_per_us > 0.0),
       [&](topo::NodeId node, std::uint64_t bytes) {
         if (node != run_node) flush_run();
         run_node = node;
@@ -772,7 +843,7 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
   CopyBatch copies;
 
   // Each row's bytes land in per-node buckets that are charged in bulk at
-  // the end, so faults need no flush. A row inside one page whose PTE
+  // the end, so faults need no flush and may run. A row inside one page whose PTE
   // already allows the access is what walk_extent would reduce to: one
   // find and one access_page, no fault and no soft-TLB lookup (one page is
   // below its admission size). Every other row is one extent walk.
@@ -806,15 +877,15 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
       }
     }
     walk_extent(t, p, row_start, row_start + row_bytes, want, core_node, res,
-                copies, to_bucket, [] {});
+                copies, /*fault_runs=*/true, to_bucket, [] {});
   }
   vm::Vaddr fault_at = kTop;
   if (rows_in < rows && (stride_bytes == 0 ||
                          rows_in <= (~std::uint64_t{0} - base) / stride_bytes)) {
     const vm::Vaddr row_start = base + rows_in * stride_bytes;
     if (row_start < kTop)
-      walk_extent(t, p, row_start, kTop, want, core_node, res, copies, to_bucket,
-                  [] {});
+      walk_extent(t, p, row_start, kTop, want, core_node, res, copies,
+                  /*fault_runs=*/true, to_bucket, [] {});
     fault_at = std::max(row_start, kTop);
   }
 

@@ -1,6 +1,8 @@
 // The memory-management system-call surface (paper Sections 2.3 and 3).
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <unordered_set>
 
 #include "kern/kernel.hpp"
 
@@ -261,6 +263,33 @@ SyscallResult Kernel::sys_getcpu(ThreadCtx& t, topo::CoreId* core, topo::NodeId*
   return 0;
 }
 
+template <typename Done>
+void Kernel::migrate_batch(const PageMover& how, Process& p,
+                           std::span<const RunPage> pages,
+                           std::span<const topo::NodeId> dests, Done&& done) {
+  assert(pages.size() == dests.size());
+  const bool runs = runs_allowed(how);
+  for (std::size_t j = 0; j < pages.size();) {
+    // A run reads each page's node when it gets there: a direct demotion on
+    // the per-page path may have moved a later page of the batch.
+    const topo::NodeId from = pages[j].pte->node();
+    const topo::NodeId to = dests[j];
+    const std::uint64_t room = runs && from != to ? phys_.run_room(to) : 0;
+    if (room == 0) {
+      done(j, migrate_page(how, p, *pages[j].pte, pages[j].vpn, to));
+      ++j;
+      continue;
+    }
+    const std::size_t last = j + std::min<std::uint64_t>(room, pages.size() - j);
+    std::size_t e = j + 1;
+    while (e < last && dests[e] == to && pages[e].pte->node() == from) ++e;
+    [[maybe_unused]] const std::size_t moved =
+        migrate_run(how, p, pages.subspan(j, e - j), from, to);
+    assert(moved == e - j);  // the run is within the destination's room
+    for (; j < e; ++j) done(j, MigrateResult::kOk);
+  }
+}
+
 void Kernel::move_pages_enter(ThreadCtx& t, std::size_t total_pages) {
   (void)total_pages;
   Process& p = proc(t.pid);
@@ -298,14 +327,20 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
                                        static_cast<double>(request_total));
   }
 
-  struct Move {
-    std::size_t i;
-    vm::Pte* pte;  // resolved once; entries are chunk-stable for the table's life
-    topo::NodeId from;
-    topo::NodeId to;
-  };
-  std::vector<Move> moves;
-  moves.reserve(chunk.size());
+  // The queued moves: entry index, page and target of each. PTEs are
+  // resolved once, and entries are chunk-stable for the table's life.
+  std::vector<std::size_t> move_entry;
+  std::vector<RunPage> move_pages;
+  std::vector<topo::NodeId> move_to;
+  move_entry.reserve(chunk.size());
+  move_pages.reserve(chunk.size());
+  move_to.reserve(chunk.size());
+  topo::NodeId first_from = topo::kInvalidNode;  // for the tracepoint
+  // A page an earlier entry queued is isolated already, so the later entry's
+  // isolation fails with -EBUSY, as in Linux. While the queued pages ascend,
+  // one comparison rules a repeat out; after that, a set of them does.
+  bool ascending = true;
+  std::unordered_set<vm::Vpn> queued;
   const sim::Time entry = t.clock;
   sim::Time unlocked_total = 0;
   sim::Time locked_total = 0;
@@ -341,7 +376,21 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
       status[i] = static_cast<int>(to);
       continue;
     }
-    moves.push_back({i, pte, from, to});
+    const vm::Vpn vpn = vm::vpn_of(chunk[i]);
+    if (!ascending || (!move_pages.empty() && vpn <= move_pages.back().vpn)) {
+      if (ascending) {
+        ascending = false;
+        for (const RunPage& q : move_pages) queued.insert(q.vpn);
+      }
+      if (!queued.insert(vpn).second) {
+        status[i] = -kEBUSY;  // charged like an entry that does not move
+        continue;
+      }
+    }
+    if (move_entry.empty()) first_from = from;
+    move_entry.push_back(i);
+    move_pages.push_back({pte, vpn});
+    move_to.push_back(to);
     locked_total += cost_.move_pages_page_locked;
   }
 
@@ -360,42 +409,43 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
     charge(t, unlocked_total + locked_total, sim::CostKind::kMovePagesControl);
   }
 
-  // Each page runs the pipeline on its own, so a failed allocation or copy
-  // surfaces as that page's status — never as a batch failure. Copies are
-  // deferred and coalesced per route, so the hardware model sees streams,
-  // not 4 KiB droplets; the control share was charged above.
+  // Each page fails on its own, so a failed allocation or copy surfaces as
+  // that page's status — never as a batch failure. Copies are deferred and
+  // coalesced per route, so the hardware model sees streams, not 4 KiB
+  // droplets; the control share was charged above.
   CopyBatch copies;
   const PageMover mover{{t, &copies}, MigrateEngine::kConfigured, 0,
                         sim::CostKind::kMovePagesControl,
                         sim::CostKind::kMovePagesCopy};
-  for (const Move& m : moves) {
-    switch (migrate_page(mover, p, *m.pte, vm::vpn_of(chunk[m.i]), m.to)) {
+  migrate_batch(mover, p, move_pages, move_to, [&](std::size_t j, MigrateResult r) {
+    const std::size_t i = move_entry[j];
+    switch (r) {
       case MigrateResult::kOk:
-        m.pte->clear(vm::Pte::kNextTouch);
-        status[m.i] = static_cast<int>(m.pte->node());
+        move_pages[j].pte->clear(vm::Pte::kNextTouch);
+        status[i] = static_cast<int>(move_pages[j].pte->node());
         ++kstats_.pages_migrated_move;
         break;
       case MigrateResult::kNoMem:
-        status[m.i] = -kENOMEM;
+        status[i] = -kENOMEM;
         break;
       case MigrateResult::kCopyFail:
       case MigrateResult::kDeferred:
-        status[m.i] = -kEAGAIN;
+        status[i] = -kEAGAIN;
         break;
     }
-  }
+  });
   migration_batch_tail(
-      t, p, copies, span_lo, span_hi, entry, moves.size(),
+      t, p, copies, span_lo, span_hi, entry, move_pages.size(),
       MigrateEngine::kConfigured,
       {cost_.move_pages_serial_per_page, cost_.range_serial_per_page});
-  if (!moves.empty()) {
-    trace(t, EventType::kMovePages, vm::vpn_of(chunk[moves.front().i]), moves.size(),
-          moves.front().from, moves.front().to);
+  if (!move_pages.empty()) {
+    trace(t, EventType::kMovePages, move_pages.front().vpn, move_pages.size(),
+          first_from, move_to.front());
   }
   if (!sinks_.empty()) {
     emit(span_event(t, "move_pages_chunk", entry, t.clock - entry)
              .add_arg("pages", static_cast<std::int64_t>(chunk.size()))
-             .add_arg("moves", static_cast<std::int64_t>(moves.size())));
+             .add_arg("moves", static_cast<std::int64_t>(move_pages.size())));
   }
 }
 
@@ -448,20 +498,51 @@ SyscallResult Kernel::sys_move_pages_ranged(ThreadCtx& t,
     const PageMover mover{{t, &copies}, MigrateEngine::kConfigured, 0,
                           sim::CostKind::kMovePagesControl,
                           sim::CostKind::kMovePagesCopy};
+    const bool runs = runs_allowed(mover);
     std::uint64_t batch_moved = 0;
     const vm::Vpn vend = vm::vpn_of(vm::page_align_up(r.addr + r.len));
+    std::array<RunPage, vm::PageTable::kChunkPages> pages;
+    auto movable = [&](const vm::Pte& pte) {
+      return pte.present() && !(pte.flags & vm::Pte::kHuge);
+    };
+    // Each present base page pays the range control charge, then moves if it
+    // is off the target. Consecutive ones on one node go as one run, as many
+    // as the target has room for: the run's pages are charged after it,
+    // which no step of it can see. A page the target has no room for takes
+    // the per-page pipeline.
     auto range_run = [&](vm::PageRun run) {
-      vm::Vpn vpn = run.first;
-      for (vm::Pte& pte : run.ptes) {
-        const vm::Vpn v = vpn++;
-        if (!pte.present() || (pte.flags & vm::Pte::kHuge)) continue;
-        charge(t, cost_.move_pages_range_page_control,
-               sim::CostKind::kMovePagesControl);
-        if (pte.node() == r.node) continue;
-        if (migrate_page(mover, p, pte, v, r.node) == MigrateResult::kOk) {
-          ++batch_moved;
-          ++kstats_.pages_migrated_move;
+      const std::size_t n = run.ptes.size();
+      for (std::size_t j = 0; j < n;) {
+        vm::Pte& pte = run.ptes[j];
+        if (!movable(pte)) {
+          ++j;
+          continue;
         }
+        const topo::NodeId from = pte.node();
+        const std::uint64_t room = runs && from != r.node ? phys_.run_room(r.node) : 0;
+        if (room == 0) {
+          charge(t, cost_.move_pages_range_page_control,
+                 sim::CostKind::kMovePagesControl);
+          if (from != r.node &&
+              migrate_page(mover, p, pte, run.first + j, r.node) == MigrateResult::kOk) {
+            ++batch_moved;
+            ++kstats_.pages_migrated_move;
+          }
+          ++j;
+          continue;
+        }
+        const std::size_t last = j + std::min<std::uint64_t>(room, n - j);
+        std::size_t e = j;
+        for (; e < last && movable(run.ptes[e]) && run.ptes[e].node() == from; ++e)
+          pages[e - j] = {&run.ptes[e], run.first + e};
+        [[maybe_unused]] const std::size_t took =
+            migrate_run(mover, p, {pages.data(), e - j}, from, r.node);
+        assert(took == e - j);  // the run is within the target's room
+        charge(t, cost_.move_pages_range_page_control * (e - j),
+               sim::CostKind::kMovePagesControl);
+        batch_moved += e - j;
+        kstats_.pages_migrated_move += e - j;
+        j = e;
       }
     };
     p.as.page_table().for_each_run(vm::vpn_of(r.addr), vend, range_run);
@@ -504,12 +585,10 @@ SyscallResult Kernel::sys_migrate_pages(ThreadCtx& t, Pid target,
   }
 
   long migrated = 0;
-  struct Pending {
-    vm::Vpn vpn;
-    vm::Pte* pte;  // resolved by the traversal; entries are chunk-stable
-    topo::NodeId dest;
-  };
-  std::vector<Pending> batch;
+  // Pages found off their destination, and each one's destination; PTEs
+  // are resolved by the traversal, and entries are chunk-stable.
+  std::vector<RunPage> batch;
+  std::vector<topo::NodeId> batch_dest;
   auto flush_batch = [&] {
     if (batch.empty()) return;
     const sim::Time entry = t.clock;
@@ -522,18 +601,19 @@ SyscallResult Kernel::sys_migrate_pages(ThreadCtx& t, Pid target,
     const PageMover mover{{t, &copies}, MigrateEngine::kStopAndCopy, 0,
                           sim::CostKind::kMigratePagesControl,
                           sim::CostKind::kMigratePagesCopy};
-    for (const Pending& b : batch) {
-      if (migrate_page(mover, p, *b.pte, b.vpn, b.dest) == MigrateResult::kOk) {
-        ++migrated;
-        ++kstats_.pages_migrated_process;
-      }
-    }
+    std::uint64_t moved = 0;
+    migrate_batch(mover, p, batch, batch_dest, [&](std::size_t, MigrateResult r) {
+      if (r == MigrateResult::kOk) ++moved;
+    });
+    migrated += static_cast<long>(moved);
+    kstats_.pages_migrated_process += moved;
     migration_batch_tail(
         t, p, copies, vm::addr_of(batch.front().vpn),
         vm::addr_of(batch.back().vpn) + mem::kPageSize, entry, batch.size(),
         MigrateEngine::kStopAndCopy,
         {cost_.migrate_pages_serial_per_page, cost_.range_serial_per_page});
     batch.clear();
+    batch_dest.clear();
   };
 
   // In-order traversal of the whole address space (hence the higher base
@@ -565,7 +645,8 @@ SyscallResult Kernel::sys_migrate_pages(ThreadCtx& t, Pid target,
         if (pte.flags & vm::Pte::kHuge) continue;
         const topo::NodeId n = pte.node();
         if (dest_of[n] == topo::kInvalidNode || dest_of[n] == n) continue;
-        batch.push_back({v, &pte, dest_of[n]});
+        batch.push_back({&pte, v});
+        batch_dest.push_back(dest_of[n]);
         if (batch.size() >= kSyscallBatchPages) flush_batch();
       }
       next = vpn;

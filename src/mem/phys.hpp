@@ -14,7 +14,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "topo/topology.hpp"
 
@@ -62,10 +67,30 @@ class PhysMem {
   /// zonelist walk). kInvalidFrame only when every node is exhausted.
   FrameId alloc_near(topo::NodeId preferred, bool use_reserve = false);
 
-  /// Return live frame `f` to its node. Throws std::logic_error naming `f`,
-  /// and changes nothing, when `f` is not live: a second free, an id never
-  /// handed out, or kInvalidFrame.
-  void free(FrameId f);
+  /// Write to `out` the frames that `n` successive alloc_on(node) calls
+  /// would return: the node's lowest free indices first, a bitmap word at a
+  /// time, then fresh ones. Stops before the first frame alloc_on would
+  /// refuse (capacity or min watermark) and leaves no trace of it: that
+  /// refusal, and its watermark_blocks count, belong to the next alloc_on.
+  /// Returns the frames written, min(n, run_room(node)).
+  std::size_t alloc_run(topo::NodeId node, std::size_t n, FrameId* out);
+
+  /// How many successive alloc_on(node) calls would succeed: the node's free
+  /// frames above its min watermark.
+  std::uint64_t run_room(topo::NodeId node) const {
+    const std::uint64_t free = free_frames(node);
+    const std::uint64_t wm_min = per_node_[node].wm_min;
+    return free > wm_min ? free - wm_min : 0;
+  }
+
+  /// Return live frame `f` to its node: free_run of one frame.
+  void free(FrameId f) { free_run({&f, 1}); }
+
+  /// free(f) for each frame in order, setting free bits a word at a time. At
+  /// a frame that is not live (a second free, a frame repeated in `frames`,
+  /// an id never handed out, or kInvalidFrame) it throws std::logic_error
+  /// naming that frame, after freeing the frames before it.
+  void free_run(std::span<const FrameId> frames);
 
   // --- memory-pressure model (Linux zone watermarks) -------------------------
   /// Keep `min` frames of every node in reserve (non-reserve allocations fail
@@ -130,7 +155,10 @@ class PhysMem {
     return per_node_[n].reserve_allocs;
   }
 
-  /// Host backing of a materialized frame; nullptr for phantom frames.
+  /// Host backing of a materialized frame; nullptr for phantom frames. A
+  /// free frame's buffer keeps its bytes, but under AddressSanitizer it is
+  /// poisoned from its free to its next allocation, so reading a frame
+  /// after freeing it is reported.
   std::byte* data(FrameId f) {
     return backing_ == Backing::kPhantom
                ? nullptr
@@ -205,6 +233,12 @@ class PhysMem {
   };
 
   FrameId take_frame(topo::NodeId node, bool use_reserve);
+  /// Count `n` frames taken on `node` (its used count, its tier's, allocs_).
+  void count_taken(topo::NodeId node, std::uint64_t n) {
+    per_node_[node].used += n;
+    tier_used_[static_cast<std::size_t>(node_tier_[node])] += n;
+    allocs_ += n;
+  }
   /// The lowest free index of `pool`, now live; some index must be free.
   static std::uint64_t take_lowest_free(NodePool& pool);
   /// Create index `pool.created` of `node`, live.
@@ -213,6 +247,21 @@ class PhysMem {
   /// grow the bitmaps; under materialized backing, add the host buffer.
   void grow(NodePool& pool, topo::NodeId node);
   [[noreturn]] static void throw_dead_free(FrameId f);
+  /// Under AddressSanitizer, poison (on free) or unpoison (on allocation)
+  /// the host buffer of index `i` of `pool`; nothing otherwise.
+  void poison(NodePool& pool, std::uint64_t i, bool poisoned) {
+#if defined(__SANITIZE_ADDRESS__)
+    if (backing_ != Backing::kMaterialized) return;
+    std::byte* buf = pool.data[i].get();
+    if (poisoned) {
+      ASAN_POISON_MEMORY_REGION(buf, kPageSize);
+    } else {
+      ASAN_UNPOISON_MEMORY_REGION(buf, kPageSize);
+    }
+#else
+    (void)pool, (void)i, (void)poisoned;
+#endif
+  }
 
   const topo::Topology& topo_;
   Backing backing_;
@@ -226,9 +275,10 @@ class PhysMem {
   std::uint64_t fallbacks_ = 0;
 };
 
-// alloc_on / take_frame / free / clear_shadow are the allocator's per-page
-// hot path (every fault and migration goes through them); defined inline so
-// callers don't pay an out-of-line call for a handful of counter updates.
+// alloc_on / take_frame / alloc_run / free_run / clear_shadow are the
+// allocator's per-page hot path (every fault and migration goes through
+// them); defined inline so callers don't pay an out-of-line call for a
+// handful of counter updates.
 inline FrameId PhysMem::alloc_on(topo::NodeId node, bool use_reserve) {
   assert(node < per_node_.size());
   return take_frame(node, use_reserve);
@@ -284,29 +334,108 @@ inline FrameId PhysMem::take_frame(topo::NodeId node, bool use_reserve) {
     ++pool.reserve_allocs;
   }
   // created - used of the node's indices are free (PhysMem::audit checks it).
-  const std::uint64_t index =
-      pool.used < pool.created ? take_lowest_free(pool) : new_index(pool, node);
-  ++pool.used;
-  ++tier_used_[static_cast<std::size_t>(node_tier_[node])];
-  ++allocs_;
+  std::uint64_t index;
+  if (pool.used < pool.created) {
+    index = take_lowest_free(pool);
+    poison(pool, index, false);
+  } else {
+    index = new_index(pool, node);
+  }
+  count_taken(node, 1);
   return static_cast<FrameId>(node << index_bits_ | index);
 }
 
-inline void PhysMem::free(FrameId f) {
-  if (!is_live(f)) throw_dead_free(f);
-  const topo::NodeId node = node_of(f);
+inline std::size_t PhysMem::alloc_run(topo::NodeId node, std::size_t n,
+                                      FrameId* out) {
+  assert(node < per_node_.size());
   NodePool& pool = per_node_[node];
-  const std::uint32_t i = index_of(f);
-  const std::size_t w = i / 64;
-  pool.free_bits[w] |= std::uint64_t{1} << (i % 64);
-  pool.summary[w / 64] |= std::uint64_t{1} << (w % 64);
-  pool.hint = std::min(pool.hint, w / 64);
-  clear_shadow(f);
-  assert(pool.used > 0);
-  --pool.used;
-  assert(tier_used_[static_cast<std::size_t>(node_tier_[node])] > 0);
-  --tier_used_[static_cast<std::size_t>(node_tier_[node])];
-  ++frees_;
+  // take_frame grants the i-th call while used + i < capacity and the free
+  // frames left, capacity - used - i, stay above wm_min.
+  const std::size_t k =
+      static_cast<std::size_t>(std::min<std::uint64_t>(n, run_room(node)));
+  const auto base = static_cast<FrameId>(node << index_bits_);
+  // Free indices first, lowest first: each summary bit names a word, whose
+  // free bits are taken lowest first until the run has enough.
+  const auto recycled =
+      static_cast<std::size_t>(std::min<std::uint64_t>(k, pool.created - pool.used));
+  std::size_t got = 0;
+  if (recycled != 0) {
+    std::size_t s = pool.hint;
+    while (got < recycled) {
+      while (pool.summary[s] == 0) {
+        ++s;
+        assert(s < pool.summary.size());
+      }
+      const auto w = s * 64 + static_cast<unsigned>(std::countr_zero(pool.summary[s]));
+      std::uint64_t word = pool.free_bits[w];
+      do {
+        const std::uint64_t i = w * 64 + static_cast<unsigned>(std::countr_zero(word));
+        poison(pool, i, false);
+        out[got++] = base | static_cast<FrameId>(i);
+        word &= word - 1;
+      } while (word != 0 && got < recycled);
+      pool.free_bits[w] = word;
+      if (word == 0) pool.summary[s] &= pool.summary[s] - 1;  // w's is the lowest bit
+    }
+    pool.hint = s;
+    count_taken(node, recycled);
+  }
+  // Then fresh indices, counted one by one: new_index may throw at the id
+  // limit, and the frames before it stay taken, as after alloc_on calls.
+  for (; got < k; ++got) {
+    out[got] = base | static_cast<FrameId>(new_index(pool, node));
+    count_taken(node, 1);
+  }
+  return k;
+}
+
+inline void PhysMem::free_run(std::span<const FrameId> frames) {
+  // `bits` gathers the frames of free word `w` of `pool` and is or-ed in
+  // when the next frame lies in another word, or at the end, so a run of
+  // neighbouring frames sets each word, and counts, once.
+  NodePool* pool = nullptr;
+  topo::NodeId node = 0;
+  std::size_t w = 0;
+  std::uint64_t bits = 0;
+  auto flush = [&] {
+    if (bits == 0) return;
+    pool->free_bits[w] |= bits;
+    pool->summary[w / 64] |= std::uint64_t{1} << (w % 64);
+    pool->hint = std::min(pool->hint, w / 64);
+    if (pool->shadow != 0 && w < pool->shadow_bits.size()) {
+      // A freed frame drops its shadow mark.
+      std::uint64_t& marks = pool->shadow_bits[w];
+      pool->shadow -= static_cast<std::uint64_t>(std::popcount(marks & bits));
+      marks &= ~bits;
+    }
+    const auto k = static_cast<std::uint64_t>(std::popcount(bits));
+    assert(pool->used >= k);
+    pool->used -= k;
+    assert(tier_used_[static_cast<std::size_t>(node_tier_[node])] >= k);
+    tier_used_[static_cast<std::size_t>(node_tier_[node])] -= k;
+    frees_ += k;
+    bits = 0;
+  };
+  for (const FrameId f : frames) {
+    const topo::NodeId n = node_of(f);
+    const std::uint32_t i = index_of(f);
+    if (pool == nullptr || n != node || i / 64 != w) {
+      flush();
+      if (n >= per_node_.size()) throw_dead_free(f);
+      pool = &per_node_[n];
+      node = n;
+      w = i / 64;
+    }
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    // Not live: never created, free already, or freed earlier in this run.
+    if (i >= pool->created || ((pool->free_bits[w] | bits) & bit) != 0) {
+      flush();
+      throw_dead_free(f);
+    }
+    bits |= bit;
+    poison(*pool, i, true);
+  }
+  flush();
 }
 
 }  // namespace numasim::mem

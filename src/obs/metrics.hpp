@@ -79,10 +79,11 @@ class Histogram {
     return (std::uint64_t{1} << b) - 1;
   }
 
-  void record(std::uint64_t v) {
-    ++buckets_[bucket_of(v)];
-    ++count_;
-    sum_ += v;
+  /// Record `times` (at least one) samples of value `v`.
+  void record(std::uint64_t v, std::uint64_t times = 1) {
+    buckets_[bucket_of(v)] += times;
+    count_ += times;
+    sum_ += v * times;
     if (v < min_) min_ = v;
     if (v > max_) max_ = v;
   }

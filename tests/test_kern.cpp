@@ -157,6 +157,45 @@ TEST_F(KernelTest, MovePagesArgumentValidation) {
   EXPECT_EQ(status[0], -kEFAULT);  // unmapped wins over bad node here
 }
 
+TEST(MovePagesTest, ARepeatedPageInOneChunkIsBusyAndMovesOnce) {
+  // The first entry naming a page isolates it, so a later entry of the same
+  // chunk fails isolation with -EBUSY (Linux's add_page_for_migration), in
+  // any order, and the page moves once.
+  Kernel k(KernelConfig{.backing = mem::Backing::kPhantom});
+  ThreadCtx t;
+  t.pid = k.create_process("repeat");
+  const vm::Vaddr a = k.sys_mmap(t, 2 * mem::kPageSize, vm::Prot::kReadWrite);
+  k.access(t, a, 2 * mem::kPageSize, vm::Prot::kWrite, 3500.0);  // node 0
+  const std::uint64_t allocs = k.phys().total_allocs();
+  std::vector<vm::Vaddr> pages{a, a, a + mem::kPageSize};
+  std::vector<topo::NodeId> nodes{1, 1, 1};
+  std::vector<int> status(3, 99);
+  ASSERT_EQ(k.sys_move_pages(t, pages, nodes, status), 0);
+  EXPECT_EQ(status, (std::vector<int>{1, -kEBUSY, 1}));
+  EXPECT_EQ(k.stats().pages_migrated_move, 2u);
+  EXPECT_EQ(k.phys().total_allocs() - allocs, 2u);
+
+  // Descending, the repeat comes last; the pages move back to node 2.
+  pages = {a + mem::kPageSize + 5, a, a + mem::kPageSize};
+  nodes = {2, 2, 2};
+  ASSERT_EQ(k.sys_move_pages(t, pages, nodes, status), 0);
+  EXPECT_EQ(status, (std::vector<int>{2, 2, -kEBUSY}));
+  EXPECT_EQ(k.stats().pages_migrated_move, 4u);
+  EXPECT_EQ(k.phys().total_allocs() - allocs, 4u);
+
+  // Across chunks (64 entries each), the repeat finds its page on its
+  // target already and reports that node.
+  pages.assign(65, a);
+  nodes.assign(65, 3);
+  status.assign(65, 99);
+  ASSERT_EQ(k.sys_move_pages(t, pages, nodes, status), 0);
+  EXPECT_EQ(status[0], 3);
+  for (std::size_t i = 1; i < 64; ++i) EXPECT_EQ(status[i], -kEBUSY) << i;
+  EXPECT_EQ(status[64], 3);
+  EXPECT_EQ(k.stats().pages_migrated_move, 5u);
+  EXPECT_NO_THROW(k.validate(t.pid));
+}
+
 TEST_F(KernelTest, QuadraticImplIsSlowerOnLargeRequests) {
   // Same end state, radically different cost — the Fig. 4 pathology.
   auto run = [&](MovePagesImpl impl) {

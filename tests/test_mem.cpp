@@ -169,6 +169,80 @@ TEST_F(PhysMemTest, FreeOfADeadFrameThrowsAndChangesNothing) {
   EXPECT_TRUE(pm.is_live(b));
 }
 
+TEST_F(PhysMemTest, AllocRunStopsBeforeARefusalWithoutCountingIt) {
+  // Node 1: 20 frames, 4 kept by the min watermark, 5 in use after 3 of 8
+  // are freed. A run of 30 takes the 11 frames that alloc_on calls would
+  // take, freed ones first, and leaves the 12th call's refusal, and its
+  // watermark block, to the next alloc_on.
+  PhysMem pm(topo_, Backing::kPhantom, 20);
+  PhysMem twin(topo_, Backing::kPhantom, 20);
+  for (PhysMem* m : {&pm, &twin}) {
+    std::vector<FrameId> f;
+    for (int i = 0; i < 8; ++i) f.push_back(m->alloc_on(1));
+    for (const std::size_t i : {5, 1, 6}) m->free(f[i]);
+    m->set_node_watermarks(1, 4, 4);
+  }
+  std::vector<FrameId> run(30, kInvalidFrame);
+  EXPECT_EQ(pm.run_room(1), 11u);
+  ASSERT_EQ(pm.alloc_run(1, run.size(), run.data()), 11u);
+  EXPECT_EQ(pm.run_room(1), 0u);
+  for (std::size_t i = 0; i < 11; ++i) EXPECT_EQ(run[i], twin.alloc_on(1)) << i;
+  EXPECT_EQ(run[11], kInvalidFrame);  // nothing written past the run
+  EXPECT_EQ(pm.watermark_blocks(1), 0u);
+  EXPECT_EQ(pm.used_frames(1), twin.used_frames(1));
+  EXPECT_EQ(pm.total_allocs(), twin.total_allocs());
+  EXPECT_EQ(pm.alloc_on(1), kInvalidFrame);
+  EXPECT_EQ(pm.watermark_blocks(1), 1u);
+  EXPECT_NO_THROW(pm.audit());
+
+  // A capacity cap stops a run the same way, and a node with no room takes
+  // none.
+  pm.set_node_watermarks(1, 0, 0);
+  pm.set_node_capacity(1, 17);
+  EXPECT_EQ(pm.run_room(1), 1u);
+  EXPECT_EQ(pm.alloc_run(1, run.size(), run.data()), 1u);
+  pm.set_node_capacity(1, 12);  // below the live count: no room, not a wrap
+  EXPECT_EQ(pm.run_room(1), 0u);
+  EXPECT_EQ(pm.alloc_run(1, run.size(), run.data()), 0u);
+  EXPECT_EQ(pm.watermark_blocks(1), 1u);
+  EXPECT_EQ(pm.used_frames(1), 17u);
+  EXPECT_NO_THROW(pm.audit());
+}
+
+TEST_F(PhysMemTest, FreeRunThrowsAtADeadOrRepeatedFrameAfterFreeingTheOnesBefore) {
+  PhysMem pm(topo_, Backing::kPhantom, 100);
+  std::vector<FrameId> f;
+  for (int i = 0; i < 6; ++i) f.push_back(pm.alloc_on(2));
+  const FrameId never = f.back() + 10;  // an index of node 2 never created
+  struct Case {
+    std::vector<FrameId> frames;
+    std::size_t bad;  // the first frame that is not live
+  };
+  for (const Case& c : {Case{{f[0], f[1], f[0], f[2]}, 2},  // a repeat
+                        Case{{f[3], never, f[4]}, 1},
+                        Case{{f[5], f[1]}, 1}}) {           // a second free
+    const FrameId bad = c.frames[c.bad];
+    const std::uint64_t used = pm.used_frames(2);
+    const std::uint64_t frees = pm.total_frees();
+    try {
+      pm.free_run(c.frames);
+      ADD_FAILURE() << "freed dead frame " << bad;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(std::to_string(bad)), std::string::npos)
+          << e.what();
+    }
+    // The frames before the bad one are free; none after it was freed.
+    EXPECT_EQ(pm.used_frames(2), used - c.bad);
+    EXPECT_EQ(pm.total_frees(), frees + c.bad);
+    EXPECT_NO_THROW(pm.audit());
+  }
+  for (const std::size_t i : {2, 4}) EXPECT_TRUE(pm.is_live(f[i])) << i;
+  // Lowest free first, and each freed frame free once.
+  for (const std::size_t i : {0, 1, 3, 5}) EXPECT_EQ(pm.alloc_on(2), f[i]) << i;
+  EXPECT_EQ(pm.alloc_on(2), f.back() + 1);
+  EXPECT_NO_THROW(pm.audit());
+}
+
 // --- the allocator against a reference model -----------------------------------
 
 /// PhysMem's contract in plain containers: per node a capacity, watermarks,
@@ -182,7 +256,13 @@ struct AllocatorModel {
   FrameId alloc_on(topo::NodeId n, bool reserve) {
     Node& m = nodes[n];
     if (m.used >= m.capacity) return kInvalidFrame;
-    if (m.capacity - m.used <= m.wm_min && !reserve) return kInvalidFrame;
+    if (m.capacity - m.used <= m.wm_min) {
+      if (!reserve) {
+        ++m.blocks;
+        return kInvalidFrame;
+      }
+      ++m.reserve_allocs;
+    }
     std::uint64_t index = m.created;
     if (m.free.empty()) {
       ++m.created;
@@ -205,6 +285,15 @@ struct AllocatorModel {
       if (const FrameId f = alloc_on(n, reserve); f != kInvalidFrame) return f;
     return kInvalidFrame;
   }
+  /// alloc_on(n, false) calls up to `k` of them, stopping before the first
+  /// that would be refused.
+  std::vector<FrameId> alloc_run(topo::NodeId n, std::uint64_t k) {
+    std::vector<FrameId> out;
+    const Node& m = nodes[n];
+    while (out.size() < k && m.used < m.capacity && m.capacity - m.used > m.wm_min)
+      out.push_back(alloc_on(n, false));
+    return out;
+  }
   void free(FrameId f) {
     Node& m = nodes[f >> bits];
     m.free.insert(f & ((FrameId{1} << bits) - 1));
@@ -223,6 +312,7 @@ struct AllocatorModel {
   struct Node {
     std::uint64_t capacity = 0, base = 0, used = 0, created = 0;
     std::uint64_t wm_min = 0, wm_low = 0;
+    std::uint64_t blocks = 0, reserve_allocs = 0;
     std::set<std::uint64_t> free;
   };
   const topo::Topology& topology;
@@ -255,7 +345,7 @@ TEST(PhysMemModelTest, TakesWhatALowestFreeFirstModelTakes) {
       const auto burst = 1 + below(below(8) == 0 ? 600 : 24);
       const auto node = static_cast<topo::NodeId>(below(8) < 5 ? 0 : below(4));
       const bool reserve = below(4) == 0;
-      switch (below(10)) {
+      switch (below(12)) {
         case 0:
         case 1:
         case 2:
@@ -301,6 +391,30 @@ TEST(PhysMemModelTest, TakesWhatALowestFreeFirstModelTakes) {
           model.set_capacity(node, cap);
           break;
         }
+        case 9: {
+          // Up to 64 frames, often more than a cap or the min watermark
+          // leaves room for.
+          const std::uint64_t n = 1 + below(64);
+          std::vector<FrameId> run(n, kInvalidFrame);
+          const std::uint64_t room = pm.run_room(node);
+          run.resize(pm.alloc_run(node, n, run.data()));
+          ASSERT_EQ(run, model.alloc_run(node, n)) << "seed " << seed << " op " << op;
+          ASSERT_EQ(run.size(), std::min(n, room)) << "seed " << seed << " op " << op;
+          touched.insert(touched.end(), run.begin(), run.end());
+          break;
+        }
+        case 10: {
+          // A random set of live frames, in random order.
+          std::vector<FrameId> run;
+          for (std::uint64_t i = 0; i < burst && !model.live.empty(); ++i) {
+            run.push_back(pick_live());
+            model.free(run.back());
+          }
+          std::shuffle(run.begin(), run.end(), rng);
+          pm.free_run(run);
+          touched.insert(touched.end(), run.begin(), run.end());
+          break;
+        }
         default: {
           const std::uint64_t min = below(3) == 0 ? 0 : below(200);
           const std::uint64_t low = below(400);
@@ -316,6 +430,8 @@ TEST(PhysMemModelTest, TakesWhatALowestFreeFirstModelTakes) {
         ASSERT_EQ(pm.free_frames(n), m.used >= m.capacity ? 0 : m.capacity - m.used);
         ASSERT_EQ(pm.created_frames(n), m.created);
         ASSERT_EQ(pm.under_pressure(n), pm.free_frames(n) < m.wm_low);
+        ASSERT_EQ(pm.watermark_blocks(n), m.blocks) << "seed " << seed << " op " << op;
+        ASSERT_EQ(pm.reserve_allocs(n), m.reserve_allocs);
       }
       for (const FrameId f : touched) {
         ASSERT_EQ(pm.is_live(f), model.live.count(f) == 1) << "seed " << seed << " frame " << f;
@@ -542,6 +658,41 @@ TEST_F(PhysMemTest, RecycledMaterializedFrameKeepsItsBuffer) {
   ASSERT_NE(pm.data(f), nullptr);
   std::memset(pm.data(f), 0x5A, kPageSize);
   EXPECT_EQ(static_cast<unsigned char>(pm.data(f)[0]), 0x5Au);
+}
+
+// Under AddressSanitizer a free frame's buffer is poisoned from its free
+// (alone or in a run) to its next allocation (alone or in a run), so a
+// migration that reads a frame after freeing it is reported. Every build
+// checks that the frames come back writable.
+TEST_F(PhysMemTest, AFreeMaterializedFrameIsPoisonedUntilItsNextAllocation) {
+  PhysMem pm(topo_, Backing::kMaterialized, 8);
+  auto expect_poisoned = [&](FrameId f, bool want) {
+#if defined(__SANITIZE_ADDRESS__)
+    EXPECT_EQ(__asan_region_is_poisoned(pm.data(f), kPageSize) != nullptr, want)
+        << "frame " << f;
+#else
+    (void)f, (void)want;
+#endif
+  };
+  std::vector<FrameId> run(4);
+  ASSERT_EQ(pm.alloc_run(1, run.size(), run.data()), run.size());
+  const FrameId single = pm.alloc_on(1);
+  for (const FrameId f : run) expect_poisoned(f, false);
+  pm.free_run(run);
+  pm.free(single);
+  for (const FrameId f : run) expect_poisoned(f, true);
+  expect_poisoned(single, true);
+
+  // Lowest free first: alloc_on takes run[0], alloc_run the other four.
+  EXPECT_EQ(pm.alloc_on(1), run[0]);
+  std::vector<FrameId> again(4);
+  ASSERT_EQ(pm.alloc_run(1, again.size(), again.data()), again.size());
+  EXPECT_EQ(again, (std::vector<FrameId>{run[1], run[2], run[3], single}));
+  for (const FrameId f : {run[0], run[1], run[2], run[3], single}) {
+    expect_poisoned(f, false);
+    std::memset(pm.data(f), 0x3C, kPageSize);
+    EXPECT_EQ(static_cast<unsigned char>(pm.data(f)[kPageSize - 1]), 0x3Cu);
+  }
 }
 
 TEST_F(PhysMemTest, RecycledPhantomFrameHasNoData) {

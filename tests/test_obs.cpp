@@ -80,6 +80,22 @@ TEST(Histogram, RecordTracksStats) {
   EXPECT_EQ(h.max(), 0u);
 }
 
+TEST(Histogram, RecordTimesEqualsThatManyRecords) {
+  Histogram once;
+  Histogram each;
+  once.record(7);
+  once.record(300, 5);
+  each.record(7);
+  for (int i = 0; i < 5; ++i) each.record(300);
+  EXPECT_EQ(once.count(), each.count());
+  EXPECT_EQ(once.sum(), each.sum());
+  EXPECT_EQ(once.min(), each.min());
+  EXPECT_EQ(once.max(), each.max());
+  for (std::size_t b = 0; b < kHistBuckets; ++b)
+    EXPECT_EQ(once.bucket(b), each.bucket(b)) << b;
+  EXPECT_EQ(once.quantile(0.5), each.quantile(0.5));
+}
+
 TEST(Histogram, PercentileInterpolatesWithinBucket) {
   Histogram h;
   EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);  // empty
